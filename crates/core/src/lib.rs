@@ -64,7 +64,7 @@ pub use config::{CriticMode, PairUpLightConfig, PairingMode};
 pub use error::TrainError;
 pub use fault::FaultPlan;
 pub use message::{MessageChannel, MessageLossPolicy};
-pub use model::{ActorBuffers, ActorNet, ActorOut, CriticBuffers, CriticNet};
+pub use model::{ActorNet, ActorOut, ActorStep, CriticBuffers, CriticNet};
 pub use obs::{HealthConfig, ObsEncoder, ObsHealth, ObsNorm};
 pub use pairing::PairingTable;
 pub use policy::PolicySnapshot;

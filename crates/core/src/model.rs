@@ -11,13 +11,17 @@
 use rand::Rng;
 
 use tsc_nn::{Graph, Init, Linear, LstmCell, LstmScratch, LstmState, Params, Tensor, Var};
+use tsc_sim::IntersectionObs;
+
+use crate::obs::ObsEncoder;
 
 /// Reusable activation buffers for the tape-free actor forward pass
 /// ([`ActorNet::infer`]). All tensors are sized on first use and then
 /// reused allocation-free; [`alloc_events`](Self::alloc_events) counts
 /// (re)allocations so tests can assert a zero-allocation steady state.
-#[derive(Debug, Clone)]
-pub struct ActorBuffers {
+/// Crate-private: [`ActorStep`] is the only way to run the actor.
+#[derive(Debug)]
+pub(crate) struct ActorBuffers {
     fc: Tensor,
     scratch: LstmScratch,
     /// Next LSTM hidden output `h'` (`batch × lstm_hidden`).
@@ -54,9 +58,154 @@ impl ActorBuffers {
     }
 }
 
-impl Default for ActorBuffers {
-    fn default() -> Self {
-        Self::new()
+/// One decision step of the deployed actor for all `N` agents — the
+/// single inference path behind rollout collection, the evaluation
+/// controller and the serving runtime.
+///
+/// It owns the `N × (obs_dim + bandwidth)` input (row `a` is agent
+/// `a`'s `[obs ⊕ partner message]`), the `N × lstm_hidden` recurrent
+/// state, the activation buffers, and the `N × max_phases` policy
+/// probabilities and `N × bandwidth` raw outgoing messages of the last
+/// run. With one shared bundle [`run_all`](Self::run_all) is a single
+/// `N`-row [`ActorNet::infer`]; otherwise it is one 1-row forward per
+/// agent. Every kernel on the path is row-independent, so both give
+/// bit-identical rows. Action choice and message squashing stay with
+/// the callers.
+#[derive(Debug)]
+pub struct ActorStep {
+    shared: bool,
+    obs_dim: usize,
+    x: Tensor,
+    state: LstmState,
+    probs: Tensor,
+    message: Tensor,
+    bufs: ActorBuffers,
+    /// 1-row copies of one agent's input, state and probabilities for
+    /// per-agent forwards.
+    row_x: Tensor,
+    row_state: LstmState,
+    row_probs: Tensor,
+}
+
+impl ActorStep {
+    /// Zero-state step for `num_agents` agents running `actor`'s shape;
+    /// `shared` means every agent runs bundle 0.
+    pub fn new(actor: &ActorNet, num_agents: usize, shared: bool) -> Self {
+        let input_dim = actor.obs_dim + actor.bandwidth;
+        let hidden = actor.lstm_hidden();
+        let phases = actor.policy_head.out_dim();
+        ActorStep {
+            shared,
+            obs_dim: actor.obs_dim,
+            x: Tensor::zeros(num_agents, input_dim),
+            state: LstmState::zeros(num_agents, hidden),
+            probs: Tensor::zeros(num_agents, phases),
+            message: Tensor::zeros(num_agents, actor.bandwidth),
+            bufs: ActorBuffers::new(),
+            row_x: Tensor::zeros(1, input_dim),
+            row_state: LstmState::zeros(1, hidden),
+            row_probs: Tensor::zeros(1, phases),
+        }
+    }
+
+    /// Zeroes the recurrent state (start of an episode).
+    pub fn reset(&mut self) {
+        self.state.h.fill_zero();
+        self.state.c.fill_zero();
+    }
+
+    /// Fills agent `a`'s input row from its observation and the partner
+    /// message delivered to it (empty when communication is off).
+    pub fn set_input(
+        &mut self,
+        a: usize,
+        encoder: &ObsEncoder,
+        obs: &IntersectionObs,
+        message: &[f32],
+    ) {
+        let (local, msg) = self.x.row_mut(a).split_at_mut(self.obs_dim);
+        encoder.encode_local_into(obs, local);
+        msg.copy_from_slice(message);
+    }
+
+    /// Agent `a`'s input row `[obs ⊕ partner message]`.
+    pub fn input(&self, a: usize) -> &[f32] {
+        self.x.row(a)
+    }
+
+    /// Agent `a`'s input row, for actors whose input is not an encoded
+    /// observation plus message (the MA2C baseline's).
+    pub fn input_mut(&mut self, a: usize) -> &mut [f32] {
+        self.x.row_mut(a)
+    }
+
+    /// The recurrent state the next run reads (`N × lstm_hidden`).
+    pub fn state(&self) -> &LstmState {
+        &self.state
+    }
+
+    /// Agent `a`'s policy probabilities from its last run.
+    pub fn probs(&self, a: usize) -> &[f32] {
+        self.probs.row(a)
+    }
+
+    /// Agent `a`'s raw outgoing message from its last run.
+    pub fn message(&self, a: usize) -> &[f32] {
+        self.message.row(a)
+    }
+
+    /// Runs every agent and advances their recurrent state. `net(b)`
+    /// returns bundle `b`'s weights, where `b` is 0 when shared and the
+    /// agent index otherwise.
+    pub fn run_all<'n>(&mut self, net: impl Fn(usize) -> (&'n Params, &'n ActorNet)) {
+        if !self.shared {
+            for a in 0..self.x.rows() {
+                self.run_one(a, &net);
+            }
+            return;
+        }
+        let (params, actor) = net(0);
+        actor.infer(
+            params,
+            &self.x,
+            &self.state.h,
+            &self.state.c,
+            &mut self.bufs,
+        );
+        tsc_nn::softmax_rows_into(&self.bufs.logits, &mut self.probs);
+        self.state.h.copy_from(&self.bufs.h);
+        self.state.c.copy_from(&self.bufs.c);
+        if !self.message.is_empty() {
+            self.message.copy_from(&self.bufs.message);
+        }
+    }
+
+    /// Runs agent `a` alone (1-row forward) and advances its recurrent
+    /// state; every other agent's row is untouched. `net` is as in
+    /// [`run_all`](Self::run_all).
+    pub fn run_one<'n>(&mut self, a: usize, net: impl Fn(usize) -> (&'n Params, &'n ActorNet)) {
+        let (params, actor) = net(if self.shared { 0 } else { a });
+        self.row_x.row_mut(0).copy_from_slice(self.x.row(a));
+        let row = &mut self.row_state;
+        row.h.row_mut(0).copy_from_slice(self.state.h.row(a));
+        row.c.row_mut(0).copy_from_slice(self.state.c.row(a));
+        actor.infer(params, &self.row_x, &row.h, &row.c, &mut self.bufs);
+        tsc_nn::softmax_rows_into(&self.bufs.logits, &mut self.row_probs);
+        self.probs.row_mut(a).copy_from_slice(self.row_probs.row(0));
+        self.state.h.row_mut(a).copy_from_slice(self.bufs.h.row(0));
+        self.state.c.row_mut(a).copy_from_slice(self.bufs.c.row(0));
+        if !self.message.is_empty() {
+            self.message
+                .row_mut(a)
+                .copy_from_slice(self.bufs.message.row(0));
+        }
+    }
+
+    /// Activation-buffer (re)allocation count (see
+    /// [`ActorBuffers::alloc_events`]); every other buffer is sized at
+    /// construction.
+    pub fn alloc_events(&self) -> u64 {
+        self.bufs.alloc_events()
     }
 }
 
@@ -219,7 +368,7 @@ impl ActorNet {
     /// tape and allocates nothing once `buf`'s shapes have stabilized,
     /// which is what makes the serving hot loop and rollout collection
     /// cheap.
-    pub fn infer(
+    pub(crate) fn infer(
         &self,
         params: &Params,
         x: &Tensor,

@@ -10,7 +10,9 @@
 //! a newer checkpoint without rebuilding topology, which is what makes
 //! serving-side hot reload atomic.
 
+use rand::rngs::StdRng;
 use tsc_nn::{LoadError, Params};
+use tsc_rl::distribution::Categorical;
 
 use crate::checkpoint::{config_fingerprint, Checkpoint};
 use crate::config::PairUpLightConfig;
@@ -132,5 +134,30 @@ impl PolicySnapshot {
             params.copy_from(loaded);
         }
         Ok(next)
+    }
+}
+
+/// Execution-time action choice, shared by the evaluation controller
+/// and the serving runtime: mask `probs` to the agent's `num_phases`
+/// valid phases, renormalize by `sum.max(1e-8)`, then sample with `rng`
+/// or, without one, take the argmax. `masked` is caller-owned scratch.
+/// (Training explores with its own arithmetic; see
+/// [`PairUpLight`](crate::PairUpLight)'s rollout collection.)
+pub fn execution_action(
+    probs: &[f32],
+    num_phases: usize,
+    masked: &mut Vec<f32>,
+    rng: Option<&mut StdRng>,
+) -> usize {
+    masked.clear();
+    masked.extend_from_slice(&probs[..num_phases]);
+    let sum: f32 = masked.iter().sum();
+    for p in masked.iter_mut() {
+        *p /= sum.max(1e-8);
+    }
+    let dist = Categorical::new(masked);
+    match rng {
+        Some(rng) => dist.sample(rng),
+        None => dist.argmax(),
     }
 }

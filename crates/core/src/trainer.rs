@@ -28,9 +28,10 @@ use crate::config::{CriticMode, PairUpLightConfig};
 use crate::error::TrainError;
 use crate::fault::FaultPlan;
 use crate::message::regularize_into;
-use crate::model::{ActorBuffers, ActorNet, CriticBuffers, CriticNet};
+use crate::model::{ActorNet, ActorStep, CriticBuffers, CriticNet};
 use crate::obs::{ObsEncoder, ObsNorm};
 use crate::pairing::PairingTable;
+use crate::policy::{execution_action, PolicySnapshot};
 use crate::runlog::{RunLogger, UpdateRecord};
 
 /// One actor/critic pair with its optimizer state.
@@ -294,14 +295,6 @@ impl PairUpLight {
         self.bundles.iter().map(|b| b.params.num_scalars()).sum()
     }
 
-    fn bundle_idx(&self, agent: usize) -> usize {
-        if self.cfg.parameter_sharing {
-            0
-        } else {
-            agent
-        }
-    }
-
     /// The critic predicts *average-reward-scaled* returns
     /// `(1-γ)·R` so its targets stay in the clamped reward range
     /// regardless of γ; this factor converts back to return units for
@@ -373,30 +366,23 @@ impl PairUpLight {
         let _span = tsc_obs::span!("rollout.episode");
         let epsilon = self.epsilon();
         let n = self.num_agents;
-        let lstm = self.cfg.lstm_hidden;
+        let local_dim = self.encoder.local_dim();
         let bw = self.cfg.bandwidth;
         // The policy stream is salted with `cfg.seed` so two learners
         // that differ only in their model seed also explore
         // differently on the same episode seed.
         let mut rng = StdRng::seed_from_u64(derive_rollout_seed(self.cfg.seed, seed, 0x5A17));
         let mut all_obs = env.reset(seed);
-        let mut actor_states: Vec<LstmState> = (0..n).map(|_| LstmState::zeros(1, lstm)).collect();
-        let mut critic_states: Vec<LstmState> = (0..n).map(|_| LstmState::zeros(1, lstm)).collect();
-        let mut messages: Vec<Vec<f32>> = vec![vec![0.0; bw]; n];
-        // Double-buffered outgoing messages plus tape-free inference
-        // scratch, all allocated once per episode and reused every
-        // step: the per-step hot loop builds no autograd tape and
-        // allocates only the vectors stored in the trajectory itself.
-        let mut next_messages: Vec<Vec<f32>> = vec![vec![0.0; bw]; n];
-        let mut abuf = ActorBuffers::new();
+        // Inference scratch is local to the call (concurrent workers
+        // share `&self`) and reused every step: the hot loop builds no
+        // autograd tape and allocates only what the trajectory keeps.
+        let mut actor = ActorStep::new(&self.bundles[0].actor, n, self.cfg.parameter_sharing);
+        let critic_dim = self.bundles[0].critic.input_dim();
+        let mut cx = Tensor::zeros(n, critic_dim);
+        let mut cstate = LstmState::zeros(n, self.cfg.lstm_hidden);
         let mut cbuf = CriticBuffers::new();
-        let mut x = Tensor::zeros(1, self.encoder.local_dim() + bw);
-        let critic_dim = match self.cfg.critic_mode {
-            CriticMode::Local => self.encoder.local_dim(),
-            CriticMode::Centralized => self.encoder.critic_dim(),
-        };
-        let mut cx = Tensor::zeros(1, critic_dim);
-        let mut probs = Tensor::zeros(1, self.cfg.max_phases);
+        let mut values = vec![0.0f32; n];
+        let mut messages: Vec<Vec<f32>> = vec![vec![0.0; bw]; n];
         let mut actions = vec![0usize; n];
         let mut traj = Trajectory::new(n);
         let mut total_reward = 0.0f64;
@@ -406,6 +392,7 @@ impl PairUpLight {
         let mut queue_steps = 0usize;
 
         loop {
+            let infer = tsc_obs::span!("rollout.infer");
             let partners = match self.cfg.pairing {
                 crate::config::PairingMode::CongestedUpstream => self.pairing.partners(&all_obs),
                 crate::config::PairingMode::SelfLoop => self.pairing.self_partners(),
@@ -413,74 +400,52 @@ impl PairUpLight {
                     self.pairing.random_partners(&mut rng)
                 }
             };
-            let mut step_transitions: Vec<Transition> = Vec::with_capacity(n);
-            for a in 0..n {
-                let _infer = tsc_obs::span!("rollout.infer");
-                let local = self.encoder.encode_local(&all_obs[a]);
-                let msg_in: Vec<f32> = if bw > 0 {
-                    messages[partners[a]].clone()
-                } else {
-                    Vec::new()
-                };
-                {
-                    let row = x.row_mut(0);
-                    row[..local.len()].copy_from_slice(&local);
-                    row[local.len()..].copy_from_slice(&msg_in);
-                }
-                let b = self.bundle_idx(a);
-                let bundle = &self.bundles[b];
-                // Actor forward (tape-free, bit-identical to the graph
-                // path — see `ActorNet::infer`).
-                bundle.actor.infer(
-                    &bundle.params,
-                    &x,
-                    &actor_states[a].h,
-                    &actor_states[a].c,
-                    &mut abuf,
-                );
-                tsc_nn::softmax_rows_into(&abuf.logits, &mut probs);
-                // Critic forward.
-                let critic_in = self.critic_input(&all_obs, a);
-                cx.row_mut(0).copy_from_slice(&critic_in);
-                bundle.critic.infer(
-                    &bundle.params,
-                    &cx,
-                    &critic_states[a].h,
-                    &critic_states[a].c,
-                    &mut cbuf,
-                );
-                let value = cbuf.value.get(0, 0) * self.value_scale();
-                let (action, log_prob) = self.sample_action(probs.row(0), a, epsilon, &mut rng);
+            // Inputs and pre-step recurrent state go into the
+            // transitions; action, value and log-prob are filled after
+            // the forward, reward and aux after env.step.
+            let mut step_transitions: Vec<Transition> = (0..n)
+                .map(|a| {
+                    actor.set_input(a, &self.encoder, &all_obs[a], &messages[partners[a]]);
+                    let critic_obs = self.critic_input(&all_obs, a);
+                    cx.row_mut(a).copy_from_slice(&critic_obs);
+                    let (obs, message_in) = actor.input(a).split_at(local_dim);
+                    Transition {
+                        obs: obs.to_vec(),
+                        critic_obs,
+                        action: 0,
+                        reward: 0.0,
+                        value: 0.0,
+                        log_prob: 0.0,
+                        actor_h: (
+                            actor.state().h.row(a).to_vec(),
+                            actor.state().c.row(a).to_vec(),
+                        ),
+                        critic_h: (cstate.h.row(a).to_vec(), cstate.c.row(a).to_vec()),
+                        message_in: message_in.to_vec(),
+                        aux: Vec::new(),
+                    }
+                })
+                .collect();
+            actor.run_all(|b| (&self.bundles[b].params, &self.bundles[b].actor));
+            self.critic_values(&cx, &mut cstate, &mut cbuf, &mut values);
+            // Per agent, in agent order: the trajectory pins fix the RNG
+            // stream as each agent's action sample, then its message
+            // noise. Every input row already holds its partner's
+            // message, so the new messages overwrite `messages` in place.
+            for (a, t) in step_transitions.iter_mut().enumerate() {
+                let (action, log_prob) = self.sample_action(actor.probs(a), a, epsilon, &mut rng);
                 actions[a] = action;
+                t.action = action;
+                t.log_prob = log_prob;
+                t.value = values[a];
                 if bw > 0 {
-                    let m_hat = &mut next_messages[a];
-                    regularize_into(abuf.message.row(0), self.cfg.sigma, &mut rng, m_hat);
+                    let m_hat = &mut messages[a];
+                    regularize_into(actor.message(a), self.cfg.sigma, &mut rng, m_hat);
                     msg_abs_sum += m_hat.iter().map(|x| x.abs()).sum::<f32>();
                     msg_count += m_hat.len();
                 }
-                step_transitions.push(Transition {
-                    obs: local,
-                    critic_obs: critic_in,
-                    action,
-                    reward: 0.0, // filled after env.step
-                    value,
-                    log_prob,
-                    actor_h: (
-                        actor_states[a].h.row(0).to_vec(),
-                        actor_states[a].c.row(0).to_vec(),
-                    ),
-                    critic_h: (
-                        critic_states[a].h.row(0).to_vec(),
-                        critic_states[a].c.row(0).to_vec(),
-                    ),
-                    message_in: msg_in,
-                    aux: Vec::new(), // filled after env.step
-                });
-                actor_states[a].h.copy_from(&abuf.h);
-                actor_states[a].c.copy_from(&abuf.c);
-                critic_states[a].h.copy_from(&cbuf.h);
-                critic_states[a].c.copy_from(&cbuf.c);
             }
+            drop(infer);
             let step = env.step(&actions)?;
             queue_sum += step
                 .obs
@@ -495,9 +460,6 @@ impl PairUpLight {
                 t.aux = vec![self.encoder.message_target(&step.obs[a])];
                 traj.push(a, t);
             }
-            // Swap rather than reallocate; when `bw > 0` every slot was
-            // overwritten above, and when `bw == 0` both are empty.
-            std::mem::swap(&mut messages, &mut next_messages);
             all_obs = step.obs;
             if step.done {
                 break;
@@ -505,19 +467,11 @@ impl PairUpLight {
         }
 
         // Bootstrap values V(s_{B+1}) (Algorithm 1 line 24).
-        for (a, state) in critic_states.iter().enumerate() {
-            let b = self.bundle_idx(a);
-            let critic_in = self.critic_input(&all_obs, a);
-            cx.row_mut(0).copy_from_slice(&critic_in);
-            self.bundles[b].critic.infer(
-                &self.bundles[b].params,
-                &cx,
-                &state.h,
-                &state.c,
-                &mut cbuf,
-            );
-            traj.last_values[a] = cbuf.value.get(0, 0) * self.value_scale();
+        for a in 0..n {
+            cx.row_mut(a)
+                .copy_from_slice(&self.critic_input(&all_obs, a));
         }
+        self.critic_values(&cx, &mut cstate, &mut cbuf, &mut traj.last_values);
 
         let stats = EpisodeStats {
             steps: traj.agents.first().map_or(0, Vec::len),
@@ -541,6 +495,38 @@ impl PairUpLight {
                 0.0
             },
         })
+    }
+
+    /// Scaled critic values `V(s)` of every agent from the `N`-row
+    /// input `x`, advancing the `N`-row recurrent `state`: one `N`-row
+    /// [`CriticNet::infer`] under parameter sharing, else one 1-row
+    /// forward per agent's bundle.
+    fn critic_values(
+        &self,
+        x: &Tensor,
+        state: &mut LstmState,
+        buf: &mut CriticBuffers,
+        values: &mut [f32],
+    ) {
+        let scale = self.value_scale();
+        if self.cfg.parameter_sharing {
+            let b = &self.bundles[0];
+            b.critic.infer(&b.params, x, &state.h, &state.c, buf);
+            state.h.copy_from(&buf.h);
+            state.c.copy_from(&buf.c);
+            for (a, v) in values.iter_mut().enumerate() {
+                *v = buf.value.get(a, 0) * scale;
+            }
+            return;
+        }
+        for (a, (b, v)) in self.bundles.iter().zip(values).enumerate() {
+            let row = |t: &Tensor| Tensor::row_from_slice(t.row(a));
+            b.critic
+                .infer(&b.params, &row(x), &row(&state.h), &row(&state.c), buf);
+            state.h.row_mut(a).copy_from_slice(buf.h.row(0));
+            state.c.row_mut(a).copy_from_slice(buf.c.row(0));
+            *v = buf.value.get(0, 0) * scale;
+        }
     }
 
     /// Collects one rollout per replica in `set`, seeding replica `e`
@@ -1280,80 +1266,6 @@ impl PairUpLight {
         out
     }
 
-    /// Saves every bundle's weights to `path` (tsc-nn text format; one
-    /// concatenated stream with a bundle-count header line).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        use std::io::Write as _;
-        writeln!(w, "pairuplight-model v1 bundles={}", self.bundles.len())?;
-        for b in &self.bundles {
-            tsc_nn::save_params(&b.params, &mut w)?;
-        }
-        Ok(())
-    }
-
-    /// Restores weights saved by [`save`](Self::save) into this
-    /// learner. The learner must have been constructed with the same
-    /// configuration (bundle count and tensor shapes must match).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failures, malformed files, or layout
-    /// mismatches.
-    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), tsc_nn::LoadError> {
-        let file = std::fs::File::open(path).map_err(tsc_nn::LoadError::Io)?;
-        let mut r = std::io::BufReader::new(file);
-        use std::io::BufRead as _;
-        let mut header = String::new();
-        r.read_line(&mut header).map_err(tsc_nn::LoadError::Io)?;
-        let expect = format!("pairuplight-model v1 bundles={}", self.bundles.len());
-        if header.trim() != expect {
-            return Err(tsc_nn::LoadError::Format(format!(
-                "expected header {expect:?}, found {header:?}"
-            )));
-        }
-        // The tsc-nn streams are written back to back; parse each by
-        // buffering the full remainder and splitting on headers.
-        let mut rest = String::new();
-        std::io::Read::read_to_string(&mut r, &mut rest).map_err(tsc_nn::LoadError::Io)?;
-        let mut sections: Vec<String> = Vec::new();
-        for line in rest.lines() {
-            if line.trim() == "tsc-nn-params v1" {
-                sections.push(String::new());
-            }
-            let Some(last) = sections.last_mut() else {
-                return Err(tsc_nn::LoadError::Format("missing params header".into()));
-            };
-            last.push_str(line);
-            last.push('\n');
-        }
-        if sections.len() != self.bundles.len() {
-            return Err(tsc_nn::LoadError::Format(format!(
-                "expected {} bundles, found {}",
-                self.bundles.len(),
-                sections.len()
-            )));
-        }
-        // Parse and validate *every* section before copying anything,
-        // so a failure in a later bundle cannot leave the learner with
-        // a half-restored (bundle 0 new, bundle 1 old) parameter set.
-        let mut parsed = Vec::with_capacity(sections.len());
-        for section in &sections {
-            parsed.push(tsc_nn::load_params(section.as_bytes())?);
-        }
-        for (bundle, loaded) in self.bundles.iter().zip(&parsed) {
-            Self::check_layout(&bundle.params, loaded)?;
-        }
-        for (bundle, loaded) in self.bundles.iter_mut().zip(parsed) {
-            bundle.params.copy_from(&loaded);
-        }
-        Ok(())
-    }
-
     /// Validates that `loaded` has exactly the tensor count and shapes
     /// of `expected`, returning a typed error (never panicking) on
     /// mismatch. Crate-visible so
@@ -1385,9 +1297,9 @@ impl PairUpLight {
 
     /// Snapshots the deployable policy state (actor weights, encoder,
     /// pairing, phase counts) for a serving runtime. See
-    /// [`PolicySnapshot`](crate::policy::PolicySnapshot).
-    pub fn policy_snapshot(&self) -> crate::policy::PolicySnapshot {
-        crate::policy::PolicySnapshot::new(
+    /// [`PolicySnapshot`].
+    pub fn policy_snapshot(&self) -> PolicySnapshot {
+        PolicySnapshot::new(
             self.cfg,
             self.encoder.clone(),
             self.pairing.clone(),
@@ -1401,123 +1313,85 @@ impl PairUpLight {
     }
 
     /// Snapshots the current policy as a decentralized execution
-    /// controller (greedy, σ = 0; the critic is not deployed — paper
-    /// Fig. 4).
+    /// controller (the critic is not deployed — paper Fig. 4).
     pub fn controller(&self) -> PairUpLightController {
-        PairUpLightController {
-            cfg: self.cfg,
-            encoder: self.encoder.clone(),
-            pairing: self.pairing.clone(),
-            actors: self
-                .bundles
-                .iter()
-                .map(|b| (b.params.clone(), b.actor.clone()))
-                .collect(),
-            phases_per_agent: self.phases_per_agent.clone(),
-            states: Vec::new(),
-            messages: Vec::new(),
-            num_agents: self.num_agents,
-            rng: StdRng::seed_from_u64(self.cfg.seed ^ 0xC0FFEE),
-        }
+        PairUpLightController::new(self.policy_snapshot())
     }
 }
 
 /// The deployed (inference-only) PairUpLight policy: local observations
-/// plus one incoming message per intersection, greedy phase selection.
+/// plus one incoming message per intersection. Samples its phases when
+/// `cfg.stochastic_execution` is set, else takes the argmax.
 #[derive(Debug)]
 pub struct PairUpLightController {
-    cfg: PairUpLightConfig,
-    encoder: ObsEncoder,
-    pairing: PairingTable,
-    /// `(params, net)` per bundle (1 when shared).
-    actors: Vec<(Params, ActorNet)>,
-    phases_per_agent: Vec<usize>,
-    states: Vec<LstmState>,
+    policy: PolicySnapshot,
+    actor: ActorStep,
+    stochastic: bool,
+    /// Outgoing messages of the last step, read by partners this step.
     messages: Vec<Vec<f32>>,
-    num_agents: usize,
+    masked: Vec<f32>,
     rng: StdRng,
 }
 
 impl PairUpLightController {
-    fn bundle_idx(&self, agent: usize) -> usize {
-        if self.actors.len() == 1 {
-            0
-        } else {
-            agent
+    /// Deploys `policy` from a zero episode state.
+    fn new(policy: PolicySnapshot) -> Self {
+        let cfg = *policy.config();
+        PairUpLightController {
+            actor: ActorStep::new(&policy.actors()[0].1, policy.num_agents(), policy.shared()),
+            stochastic: cfg.stochastic_execution,
+            messages: vec![vec![0.0; cfg.bandwidth]; policy.num_agents()],
+            masked: Vec::new(),
+            rng: StdRng::seed_from_u64(cfg.seed ^ 0xC0FFEE),
+            policy,
         }
     }
 
     /// Forces greedy (argmax) execution instead of sampling.
     pub fn set_greedy(&mut self) {
-        self.cfg.stochastic_execution = false;
+        self.stochastic = false;
     }
 }
 
 impl Controller for PairUpLightController {
     fn reset(&mut self) {
-        self.states = (0..self.num_agents)
-            .map(|_| LstmState::zeros(1, self.cfg.lstm_hidden))
-            .collect();
-        self.messages = vec![vec![0.0; self.cfg.bandwidth]; self.num_agents];
+        self.actor.reset();
+        self.messages.iter_mut().for_each(|m| m.fill(0.0));
         // Reseed so evaluation episodes are reproducible.
-        self.rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xC0FFEE);
+        self.rng = StdRng::seed_from_u64(self.policy.config().seed ^ 0xC0FFEE);
     }
 
     fn decide(&mut self, obs: &[IntersectionObs]) -> Vec<usize> {
-        if self.states.len() != self.num_agents {
-            self.reset();
-        }
-        let partners = match self.cfg.pairing {
-            crate::config::PairingMode::CongestedUpstream => self.pairing.partners(obs),
-            crate::config::PairingMode::SelfLoop => self.pairing.self_partners(),
+        let policy = &self.policy;
+        let partners = match policy.config().pairing {
+            crate::config::PairingMode::CongestedUpstream => policy.pairing().partners(obs),
+            crate::config::PairingMode::SelfLoop => policy.pairing().self_partners(),
             crate::config::PairingMode::RandomUpstream => {
-                self.pairing.random_partners(&mut self.rng)
+                policy.pairing().random_partners(&mut self.rng)
             }
         };
-        let mut actions = Vec::with_capacity(self.num_agents);
-        let mut next_messages = vec![vec![0.0f32; self.cfg.bandwidth]; self.num_agents];
-        for a in 0..self.num_agents {
-            let mut input = self.encoder.encode_local(&obs[a]);
-            if self.cfg.bandwidth > 0 {
-                input.extend_from_slice(&self.messages[partners[a]]);
-            }
-            let b = self.bundle_idx(a);
-            let (params, actor) = &self.actors[b];
-            let mut g = Graph::new();
-            let (out, next) = actor.step(
-                &mut g,
-                params,
-                Tensor::row_from_slice(&input),
-                &self.states[a],
-            );
-            let n = self.phases_per_agent[a];
-            let probs = tsc_nn::softmax_rows(g.value(out.logits));
-            let mut masked: Vec<f32> = probs.row(0)[..n].to_vec();
-            let sum: f32 = masked.iter().sum();
-            for p in &mut masked {
-                *p /= sum.max(1e-8);
-            }
-            let dist = Categorical::new(&masked);
-            let action = if self.cfg.stochastic_execution {
-                dist.sample(&mut self.rng)
-            } else {
-                dist.argmax()
-            };
-            if self.cfg.bandwidth > 0 {
-                if let Some(m) = out.message {
-                    // σ = 0 at execution: deterministic logistic squash.
-                    next_messages[a] = g
-                        .value(m)
-                        .row(0)
-                        .iter()
-                        .map(|&x| crate::message::logistic(x))
-                        .collect();
-                }
-            }
-            self.states[a] = next;
-            actions.push(action);
+        for (a, ob) in obs.iter().enumerate() {
+            let msg = &self.messages[partners[a]];
+            self.actor.set_input(a, policy.encoder(), ob, msg);
         }
-        self.messages = next_messages;
+        let actors = policy.actors();
+        self.actor.run_all(|b| (&actors[b].0, &actors[b].1));
+        // Every input row already holds its partner's message, so the
+        // outgoing messages can overwrite `messages` in place.
+        let mut actions = Vec::with_capacity(obs.len());
+        for (a, &phases) in policy.phases_per_agent().iter().enumerate() {
+            let rng = self.stochastic.then_some(&mut self.rng);
+            actions.push(execution_action(
+                self.actor.probs(a),
+                phases,
+                &mut self.masked,
+                rng,
+            ));
+            // σ = 0 at execution: deterministic logistic squash.
+            for (m, &raw) in self.messages[a].iter_mut().zip(self.actor.message(a)) {
+                *m = crate::message::logistic(raw);
+            }
+        }
         actions
     }
 }
@@ -1704,7 +1578,7 @@ mod tests {
                 };
                 let mut input = local.clone();
                 input.extend_from_slice(&msg_in);
-                let b = model.bundle_idx(a);
+                let b = if model.cfg.parameter_sharing { 0 } else { a };
                 let mut g = Graph::new();
                 let (out, next_state) = model.bundles[b].actor.step(
                     &mut g,
@@ -1767,7 +1641,7 @@ mod tests {
             }
         }
         for (a, state) in critic_states.iter().enumerate() {
-            let b = model.bundle_idx(a);
+            let b = if model.cfg.parameter_sharing { 0 } else { a };
             let critic_in = model.critic_input(&all_obs, a);
             let mut g = Graph::new();
             let (v, _) = model.bundles[b].critic.step(
@@ -1781,14 +1655,30 @@ mod tests {
         traj
     }
 
+    /// Pins the kernel's branches against the tape reference: shared
+    /// parameters with the centralized critic, one bundle per agent
+    /// (the Monaco config), and the local critic (SingleAgentRL).
     #[test]
     fn buffer_reusing_rollout_is_bit_identical_to_tape_reference() {
-        let mut env = tiny_env(140);
-        let model = PairUpLight::new(&env, small_cfg());
-        let fast = model.collect_rollout(&mut env, 3).unwrap().trajectory;
-        let reference = collect_rollout_tape_reference(&model, &mut env, 3);
-        assert_eq!(fast.last_values, reference.last_values);
-        assert_eq!(fast.agents, reference.agents);
+        let configs = [
+            small_cfg(),
+            PairUpLightConfig {
+                parameter_sharing: false,
+                ..small_cfg()
+            },
+            PairUpLightConfig {
+                critic_mode: CriticMode::Local,
+                ..small_cfg()
+            },
+        ];
+        for cfg in configs {
+            let mut env = tiny_env(140);
+            let model = PairUpLight::new(&env, cfg);
+            let fast = model.collect_rollout(&mut env, 3).unwrap().trajectory;
+            let reference = collect_rollout_tape_reference(&model, &mut env, 3);
+            assert_eq!(fast.last_values, reference.last_values, "{cfg:?}");
+            assert_eq!(fast.agents, reference.agents, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -1832,40 +1722,38 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_policy() {
+    fn checkpoint_round_trips_policy() {
         let mut env = tiny_env(140);
         let mut model = PairUpLight::new(&env, small_cfg());
         model.train_episode(&mut env, 1).unwrap();
-        let path = std::env::temp_dir().join("pairuplight_test_model.txt");
-        model.save(&path).unwrap();
-        // A fresh model with the same config but different weights.
-        let mut cfg2 = small_cfg();
-        cfg2.seed = 99;
-        let mut restored = PairUpLight::new(&env, cfg2);
-        restored.load(&path).unwrap();
+        let path = std::env::temp_dir().join("pairuplight_test_model.ckpt");
+        model.save_checkpoint(&path, 0).unwrap();
+        // A fresh, untrained model with the same config.
+        let mut restored = PairUpLight::new(&env, small_cfg());
+        assert_ne!(restored.parameter_vector(), model.parameter_vector());
+        restored.load_checkpoint(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         // Both controllers must now act identically.
         let mut a = model.controller();
         let mut b = restored.controller();
         let obs = env.reset(5);
-        // Seeded execution RNGs differ (seed in cfg), so force greedy.
-        a.set_greedy();
-        b.set_greedy();
         a.reset();
         b.reset();
         assert_eq!(a.decide(&obs), b.decide(&obs));
     }
 
     #[test]
-    fn load_rejects_mismatched_layout() {
+    fn load_checkpoint_rejects_mismatched_layout() {
         let env = tiny_env(140);
         let model = PairUpLight::new(&env, small_cfg());
-        let path = std::env::temp_dir().join("pairuplight_test_mismatch.txt");
-        model.save(&path).unwrap();
+        let path = std::env::temp_dir().join("pairuplight_test_mismatch.ckpt");
+        model.save_checkpoint(&path, 0).unwrap();
         let mut cfg2 = small_cfg();
         cfg2.parameter_sharing = false; // 4 bundles instead of 1
         let mut other = PairUpLight::new(&env, cfg2);
-        assert!(other.load(&path).is_err());
+        let before = other.parameter_vector();
+        assert!(other.load_checkpoint(&path).is_err());
+        assert_eq!(other.parameter_vector(), before, "rejected load is a no-op");
         let _ = std::fs::remove_file(&path);
     }
 

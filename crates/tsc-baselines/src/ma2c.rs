@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pairuplight::{ActorNet, CriticNet, ObsEncoder, ObsNorm};
+use pairuplight::{ActorNet, ActorStep, CriticNet, ObsEncoder, ObsNorm};
 use tsc_nn::{Adam, Graph, LstmState, Params, Tensor};
 use tsc_rl::a2c::{policy_loss, A2cConfig};
 use tsc_rl::buffer::{RolloutBuffer, Transition};
@@ -190,39 +190,57 @@ impl Ma2c {
     pub fn train_episode(&mut self, env: &mut TscEnv, seed: u64) -> Result<EpisodeStats, SimError> {
         let n = self.num_agents;
         let mut all_obs = env.reset(seed);
-        let mut states: Vec<LstmState> = (0..n)
+        let mut actor = ActorStep::new(&self.nets[0].actor, n, false);
+        let mut critic_states: Vec<LstmState> = (0..n)
             .map(|_| LstmState::zeros(1, self.cfg.lstm_hidden))
             .collect();
-        let mut critic_states = states.clone();
         let mut fingerprints: Vec<Vec<f32>> = (0..n)
             .map(|_| vec![1.0 / self.cfg.max_phases as f32; self.cfg.max_phases])
             .collect();
         let mut buffer = RolloutBuffer::new(n);
         let mut total_reward = 0.0f64;
+        let mut actions = vec![0usize; n];
         loop {
-            let mut actions = vec![0usize; n];
-            let mut pending: Vec<Transition> = Vec::with_capacity(n);
-            let mut new_fingerprints = fingerprints.clone();
-            for a in 0..n {
-                let input = self.assemble_input(&all_obs, &fingerprints, a);
+            // Every input reads the previous step's fingerprints, so
+            // all are assembled before any fingerprint is replaced.
+            let mut pending: Vec<Transition> = (0..n)
+                .map(|a| {
+                    let input = self.assemble_input(&all_obs, &fingerprints, a);
+                    actor.input_mut(a).copy_from_slice(&input);
+                    Transition {
+                        obs: input.clone(),
+                        critic_obs: input,
+                        action: 0,
+                        reward: 0.0,
+                        value: 0.0,
+                        log_prob: 0.0,
+                        actor_h: (
+                            actor.state().h.row(a).to_vec(),
+                            actor.state().c.row(a).to_vec(),
+                        ),
+                        critic_h: (
+                            critic_states[a].h.row(0).to_vec(),
+                            critic_states[a].c.row(0).to_vec(),
+                        ),
+                        message_in: Vec::new(),
+                        aux: Vec::new(),
+                    }
+                })
+                .collect();
+            let nets = &self.nets;
+            actor.run_all(|b| (&nets[b].params, &nets[b].actor));
+            for (a, t) in pending.iter_mut().enumerate() {
                 let net = &self.nets[a];
-                let mut g = Graph::new();
-                let (out, next_state) = net.actor.step(
-                    &mut g,
-                    &net.params,
-                    Tensor::row_from_slice(&input),
-                    &states[a],
-                );
-                let probs = tsc_nn::softmax_rows(g.value(out.logits));
                 let mut gc = Graph::new();
                 let (v, next_cstate) = net.critic.step(
                     &mut gc,
                     &net.params,
-                    Tensor::row_from_slice(&input),
+                    Tensor::row_from_slice(&t.critic_obs),
                     &critic_states[a],
                 );
+                let probs = actor.probs(a);
                 let np = self.phases_per_agent[a];
-                let mut masked: Vec<f32> = probs.row(0)[..np].to_vec();
+                let mut masked: Vec<f32> = probs[..np].to_vec();
                 let s: f32 = masked.iter().sum();
                 for p in &mut masked {
                     *p /= s.max(1e-8);
@@ -230,23 +248,10 @@ impl Ma2c {
                 let dist = Categorical::new(&masked);
                 let action = dist.sample(&mut self.rng);
                 actions[a] = action;
-                new_fingerprints[a] = probs.row(0).to_vec();
-                pending.push(Transition {
-                    obs: input.clone(),
-                    critic_obs: input,
-                    action,
-                    reward: 0.0,
-                    value: gc.value(v).get(0, 0),
-                    log_prob: dist.log_prob(action),
-                    actor_h: (states[a].h.row(0).to_vec(), states[a].c.row(0).to_vec()),
-                    critic_h: (
-                        critic_states[a].h.row(0).to_vec(),
-                        critic_states[a].c.row(0).to_vec(),
-                    ),
-                    message_in: Vec::new(),
-                    aux: Vec::new(),
-                });
-                states[a] = next_state;
+                t.action = action;
+                t.value = gc.value(v).get(0, 0);
+                t.log_prob = dist.log_prob(action);
+                fingerprints[a] = probs.to_vec();
                 critic_states[a] = next_cstate;
             }
             let step = env.step(&actions)?;
@@ -255,7 +260,6 @@ impl Ma2c {
                 total_reward += step.rewards[a];
                 buffer.push(a, t);
             }
-            fingerprints = new_fingerprints;
             all_obs = step.obs;
             if step.done {
                 break;
@@ -334,7 +338,7 @@ impl Ma2c {
 
     /// Snapshots the current per-agent policies for evaluation.
     pub fn controller(&self) -> Ma2cController {
-        Ma2cController {
+        let mut ctl = Ma2cController {
             cfg: self.cfg,
             encoder: self.encoder.clone(),
             actors: self
@@ -343,10 +347,11 @@ impl Ma2c {
                 .map(|n| (n.params.clone(), n.actor.clone()))
                 .collect(),
             phases_per_agent: self.phases_per_agent.clone(),
-            states: Vec::new(),
+            actor: ActorStep::new(&self.nets[0].actor, self.num_agents, false),
             fingerprints: Vec::new(),
-            num_agents: self.num_agents,
-        }
+        };
+        ctl.reset();
+        ctl
     }
 }
 
@@ -357,9 +362,8 @@ pub struct Ma2cController {
     encoder: ObsEncoder,
     actors: Vec<(Params, ActorNet)>,
     phases_per_agent: Vec<usize>,
-    states: Vec<LstmState>,
+    actor: ActorStep,
     fingerprints: Vec<Vec<f32>>,
-    num_agents: usize,
 }
 
 impl Ma2cController {
@@ -386,43 +390,32 @@ impl Ma2cController {
 
 impl Controller for Ma2cController {
     fn reset(&mut self) {
-        self.states = (0..self.num_agents)
-            .map(|_| LstmState::zeros(1, self.cfg.lstm_hidden))
-            .collect();
-        self.fingerprints = (0..self.num_agents)
+        self.actor.reset();
+        self.fingerprints = (0..self.actors.len())
             .map(|_| vec![1.0 / self.cfg.max_phases as f32; self.cfg.max_phases])
             .collect();
     }
 
     fn decide(&mut self, obs: &[IntersectionObs]) -> Vec<usize> {
-        if self.states.len() != self.num_agents {
-            self.reset();
-        }
-        let mut actions = Vec::with_capacity(self.num_agents);
-        let mut new_fp = self.fingerprints.clone();
-        for (a, fp) in new_fp.iter_mut().enumerate() {
+        for a in 0..self.actors.len() {
             let input = self.assemble_input(obs, a);
-            let (params, actor) = &self.actors[a];
-            let mut g = Graph::new();
-            let (out, next) = actor.step(
-                &mut g,
-                params,
-                Tensor::row_from_slice(&input),
-                &self.states[a],
-            );
-            let probs = tsc_nn::softmax_rows(g.value(out.logits));
-            *fp = probs.row(0).to_vec();
+            self.actor.input_mut(a).copy_from_slice(&input);
+        }
+        let actors = &self.actors;
+        self.actor.run_all(|b| (&actors[b].0, &actors[b].1));
+        let mut actions = Vec::with_capacity(actors.len());
+        for (a, fp) in self.fingerprints.iter_mut().enumerate() {
+            let probs = self.actor.probs(a);
+            fp.copy_from_slice(probs);
             let np = self.phases_per_agent[a];
-            let action = probs.row(0)[..np]
+            let action = probs[..np]
                 .iter()
                 .enumerate()
                 .max_by(|x, y| x.1.partial_cmp(y.1).unwrap_or(std::cmp::Ordering::Equal))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             actions.push(action);
-            self.states[a] = next;
         }
-        self.fingerprints = new_fp;
         actions
     }
 }

@@ -16,7 +16,7 @@
 //!    every class's shed-rate cap.
 //! 3. **infra-chaos** — the surge plus injected panics, latency
 //!    spikes, and a reload storm. Asserts the process never aborts and
-//!    that zero steps degrade with `ReloadInFlight` — the
+//!    that no tenant's runtime degrades a step for any reason — the
 //!    double-buffered snapshot swap keeps reloads off the ladder.
 //!
 //! Usage: `loadgen [--json] [--smoke] [--scenario <name-or-path>]
@@ -35,8 +35,8 @@ use tsc_bench::world::resolve_scenario;
 use tsc_obs::Histogram;
 use tsc_scenario::CompiledScenario;
 use tsc_serve::{
-    AdmissionConfig, DegradeReason, FleetConfig, FleetRuntime, InfraChaosPlan, LoadPlan,
-    ServeConfig, SlaClass, SupervisorConfig, TenantSel, TenantSpec, TenantState,
+    AdmissionConfig, FleetConfig, FleetRuntime, InfraChaosPlan, LoadPlan, ServeConfig, SlaClass,
+    SupervisorConfig, TenantSel, TenantSpec, TenantState,
 };
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{flows, FlowPattern, PatternConfig};
@@ -212,7 +212,8 @@ struct RegimeOutcome {
     digest: u64,
     decisions_per_sec: f64,
     classes: Vec<ClassStats>,
-    reload_degraded: u64,
+    /// Runtime-degraded steps summed over tenants (any reason).
+    degraded_steps: u64,
     hot_swaps: u64,
     final_states: Vec<TenantState>,
 }
@@ -272,13 +273,11 @@ fn run_regime(
             };
         }
     }
-    let mut reload_degraded = 0;
+    let mut degraded_steps = 0;
     let mut hot_swaps = 0;
     let mut final_states = Vec::new();
     for t in 0..tenants.len() {
-        reload_degraded += fleet
-            .tenant_telemetry(t)
-            .fallbacks_for(DegradeReason::ReloadInFlight);
+        degraded_steps += fleet.tenant_telemetry(t).degraded_steps();
         hot_swaps += fleet.tenant_stats(t).hot_swaps;
         final_states.push(fleet.tenant_state(t));
     }
@@ -286,7 +285,7 @@ fn run_regime(
         digest,
         decisions_per_sec: decisions as f64 / serve_time.as_secs_f64().max(1e-9),
         classes,
-        reload_degraded,
+        degraded_steps,
         hot_swaps,
         final_states,
     })
@@ -459,7 +458,7 @@ fn run(steps: usize, args: &BenchArgs) -> Result<(), Box<dyn std::error::Error>>
 
     // Regime 3: infra chaos on top of the surge. The double-buffered
     // snapshot swap keeps the reload storm off the degradation ladder:
-    // zero ReloadInFlight fallbacks, and the storm actually swapped.
+    // no runtime degrades a step, and the storm actually swapped.
     let mut fleet = FleetRuntime::new(
         fleet_config(capacity),
         specs_for(&tenants, ServeConfig::default()),
@@ -468,7 +467,7 @@ fn run(steps: usize, args: &BenchArgs) -> Result<(), Box<dyn std::error::Error>>
     let infra = run_regime(&mut fleet, &mut tenants, &plan, steps)?;
     print_regime("infra-chaos", &infra);
     assert_eq!(
-        infra.reload_degraded, 0,
+        infra.degraded_steps, 0,
         "a staged reload must never degrade a step"
     );
     assert!(
@@ -477,7 +476,7 @@ fn run(steps: usize, args: &BenchArgs) -> Result<(), Box<dyn std::error::Error>>
     );
     println!(
         "\noverload replay digest {:016x} reproduced; gold p99 {gold_p99:.1} us within \
-         {GOLD_P99_BUDGET_US} us budget; {} hot swap(s), zero reload-degraded steps; \
+         {GOLD_P99_BUDGET_US} us budget; {} hot swap(s), zero degraded steps under chaos; \
          no process abort",
         overload.digest, infra.hot_swaps
     );
@@ -503,7 +502,7 @@ fn run(steps: usize, args: &BenchArgs) -> Result<(), Box<dyn std::error::Error>>
         ("overload_replay_digest_match", Json::Bool(true)),
         (
             "reload_degraded_steps",
-            Json::num(infra.reload_degraded as f64),
+            Json::num(infra.degraded_steps as f64),
         ),
         ("hot_swaps", Json::num(infra.hot_swaps as f64)),
     ]);

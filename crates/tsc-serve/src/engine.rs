@@ -3,14 +3,15 @@
 //!
 //! ## Exactness of the batched path
 //!
-//! Under parameter sharing every intersection runs the same actor, so
-//! the runtime stacks all `N` agent inputs into one `N × D` matrix and
-//! does a single forward per step. Every kernel on that path (matmul,
-//! bias add, LSTM gates, softmax) is row-independent, so the batched
-//! forward is **bit-identical** to `N` separate `1 × D` forwards — the
-//! tier-1 parity test in `tests/parity.rs` pins this against the
-//! training stack's [`PairUpLightController`]
-//! (pairuplight::PairUpLightController).
+//! The runtime runs the actor through [`ActorStep`], the same kernel
+//! rollout collection and the evaluation controller use. Under
+//! parameter sharing every intersection runs the same actor, so all
+//! `N` agent inputs stack into one `N × D` matrix and a step is a
+//! single forward. Every kernel on that path (matmul, bias add, LSTM
+//! gates, softmax) is row-independent, so the batched forward is
+//! **bit-identical** to `N` separate `1 × D` forwards — the tier-1
+//! parity test in `tests/parity.rs` pins both paths against a
+//! tape-built reference of the actor.
 //!
 //! ## Degradation model
 //!
@@ -65,15 +66,14 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use pairuplight::message::logistic;
+use pairuplight::policy::execution_action;
 use pairuplight::{
-    Checkpoint, HealthConfig, MessageChannel, MessageLossPolicy, ObsHealth, PairUpLight,
+    ActorStep, Checkpoint, HealthConfig, MessageChannel, MessageLossPolicy, ObsHealth, PairUpLight,
     PairUpLightConfig, PairingMode, PolicySnapshot, TrainError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsc_baselines::MaxPressureController;
-use tsc_nn::{LstmState, Tensor};
-use tsc_rl::distribution::Categorical;
 use tsc_sim::chaos::AgentSel;
 use tsc_sim::{ChaosPlan, Controller, IntersectionObs, TscEnv};
 
@@ -129,13 +129,6 @@ pub struct ResilienceConfig {
 pub enum DegradeReason {
     /// The per-step latency budget was exceeded.
     DeadlineOverrun,
-    /// A checkpoint reload is staged but not yet committed.
-    ///
-    /// Retained for telemetry/wire compatibility: since the
-    /// double-buffered snapshot swap, a staged reload no longer
-    /// degrades serving, so the runtime never emits this reason. A
-    /// pinned reload-storm test asserts the zero-degradation property.
-    ReloadInFlight,
     /// The agent's sensor-suspect streak crossed
     /// [`ResilienceConfig::sensor_fallback_after`].
     SensorHealth,
@@ -146,11 +139,10 @@ pub enum DegradeReason {
 
 impl DegradeReason {
     /// Number of distinct reasons (telemetry array size).
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
     /// Every reason, in [`index`](Self::index) order.
     pub const ALL: [DegradeReason; DegradeReason::COUNT] = [
         DegradeReason::DeadlineOverrun,
-        DegradeReason::ReloadInFlight,
         DegradeReason::SensorHealth,
         DegradeReason::CommsHealth,
     ];
@@ -159,9 +151,8 @@ impl DegradeReason {
     pub fn index(self) -> usize {
         match self {
             DegradeReason::DeadlineOverrun => 0,
-            DegradeReason::ReloadInFlight => 1,
-            DegradeReason::SensorHealth => 2,
-            DegradeReason::CommsHealth => 3,
+            DegradeReason::SensorHealth => 1,
+            DegradeReason::CommsHealth => 2,
         }
     }
 }
@@ -195,9 +186,8 @@ pub struct ServeRuntime {
     policy: PolicySnapshot,
     cfg: ServeConfig,
     fallback: MaxPressureController,
-    /// Recurrent state: one `N × H` entry when parameters are shared
-    /// (batched path), else one `1 × H` entry per agent.
-    states: Vec<LstmState>,
+    /// Inputs, recurrent state and activations of the live policy.
+    actor: ActorStep,
     /// The partner-message channel (fault-free unless
     /// [`set_chaos`](Self::set_chaos) installed comms faults).
     channel: MessageChannel,
@@ -220,16 +210,11 @@ pub struct ServeRuntime {
     /// Decision steps served since the last state reset (the clock
     /// comms fault windows are evaluated against).
     step_index: u32,
-    /// Assembled network input (persistent across steps).
-    x: Tensor,
-    bufs: pairuplight::ActorBuffers,
-    probs: Tensor,
     masked: Vec<f32>,
     staged: Option<PolicySnapshot>,
     telemetry: ServeTelemetry,
     injected_delay: Option<Duration>,
     rng: StdRng,
-    extra_allocs: u64,
     /// Optional JSONL sink for per-step serve events (out-of-band;
     /// dropped with a warning on the first write failure).
     obs_sink: Option<tsc_obs::EventSink>,
@@ -245,9 +230,9 @@ impl ServeRuntime {
             fallback: MaxPressureController::new(cfg.fallback_min_hold.max(1)),
             channel: MessageChannel::new(num_agents, bandwidth, cfg.resilience.msg_loss),
             health: cfg.resilience.health.map(|h| ObsHealth::new(num_agents, h)),
+            actor: ActorStep::new(&policy.actors()[0].1, num_agents, policy.shared()),
             policy,
             cfg,
-            states: Vec::new(),
             next_messages: Vec::new(),
             delivered: Vec::new(),
             last_partners: Vec::new(),
@@ -255,15 +240,11 @@ impl ServeRuntime {
             comms_streaks: vec![0; num_agents],
             scratch_obs: Vec::new(),
             step_index: 0,
-            x: Tensor::zeros(0, 0),
-            bufs: pairuplight::ActorBuffers::default(),
-            probs: Tensor::zeros(0, 0),
             masked: Vec::new(),
             staged: None,
             telemetry: ServeTelemetry::new(num_agents),
             injected_delay: None,
             rng: StdRng::seed_from_u64(seed),
-            extra_allocs: 0,
             obs_sink: None,
         };
         rt.reset_state();
@@ -296,13 +277,8 @@ impl ServeRuntime {
     /// (reproducible episodes).
     fn reset_state(&mut self) {
         let n = self.policy.num_agents();
-        let h = self.policy.config().lstm_hidden;
         let bw = self.policy.config().bandwidth;
-        self.states = if self.policy.shared() {
-            vec![LstmState::zeros(n, h)]
-        } else {
-            (0..n).map(|_| LstmState::zeros(1, h)).collect()
-        };
+        self.actor.reset();
         self.next_messages = vec![vec![0.0; bw]; n];
         self.delivered = vec![vec![0.0; bw]; n];
         self.channel.reset();
@@ -348,7 +324,7 @@ impl ServeRuntime {
     /// far. Constant across steps in steady state — the allocation
     /// probe test pins this.
     pub fn alloc_events(&self) -> u64 {
-        self.bufs.alloc_events() + self.extra_allocs
+        self.actor.alloc_events()
     }
 
     /// Test/chaos hook: sleep this long inside the policy path of every
@@ -617,17 +593,14 @@ impl ServeRuntime {
         }
     }
 
-    /// Greedy action for row `r` of `self.probs`, replicating the
-    /// training controller's mask + renormalize + argmax exactly.
-    fn greedy_action(&mut self, r: usize, num_phases: usize) -> usize {
-        self.masked.clear();
-        self.masked
-            .extend_from_slice(&self.probs.row(r)[..num_phases]);
-        let sum: f32 = self.masked.iter().sum();
-        for p in &mut self.masked {
-            *p /= sum.max(1e-8);
+    /// Greedy action and squashed outgoing message of agent `a` from
+    /// its last forward.
+    fn act(&mut self, a: usize) -> usize {
+        let phases = self.policy.phases_per_agent()[a];
+        for (dst, &raw) in self.next_messages[a].iter_mut().zip(self.actor.message(a)) {
+            *dst = logistic(raw);
         }
-        Categorical::new(&self.masked).argmax()
+        execution_action(self.actor.probs(a), phases, &mut self.masked, None)
     }
 
     /// Shared-parameter path: all agents in one `N × D` forward.
@@ -644,42 +617,19 @@ impl ServeRuntime {
         t0: Instant,
     ) -> (Vec<usize>, Vec<Option<DegradeReason>>) {
         let _span = tsc_obs::span!("serve.infer");
-        let n = self.policy.num_agents();
-        let cfg = *self.policy.config();
-        let local_dim = self.policy.encoder().local_dim();
-        self.extra_allocs += self.x.ensure_shape(n, local_dim + cfg.bandwidth) as u64;
-        for (a, ob) in obs.iter().enumerate().take(n) {
-            let (local, msg) = self.x.row_mut(a).split_at_mut(local_dim);
-            self.policy.encoder().encode_local_into(ob, local);
-            msg.copy_from_slice(&self.delivered[a]);
+        for (a, ob) in obs.iter().enumerate() {
+            let encoder = self.policy.encoder();
+            self.actor.set_input(a, encoder, ob, &self.delivered[a]);
         }
         if let Some(delay) = self.injected_delay {
             std::thread::sleep(delay);
         }
-        let (params, actor) = &self.policy.actors()[0];
-        let state = &self.states[0];
-        actor.infer(params, &self.x, &state.h, &state.c, &mut self.bufs);
-        self.extra_allocs += self.probs.ensure_shape(n, cfg.max_phases) as u64;
-        tsc_nn::softmax_rows_into(&self.bufs.logits, &mut self.probs);
-        let mut actions: Vec<usize> = (0..n)
-            .map(|a| self.greedy_action(a, self.policy.phases_per_agent()[a]))
-            .collect();
-        if cfg.bandwidth > 0 {
-            for a in 0..n {
-                for (dst, &raw) in self.next_messages[a]
-                    .iter_mut()
-                    .zip(self.bufs.message.row(a))
-                {
-                    *dst = logistic(raw);
-                }
-            }
-        }
-        // Commit recurrent state and messages even on overrun: the
+        let actors = self.policy.actors();
+        self.actor.run_all(|b| (&actors[b].0, &actors[b].1));
+        // Recurrent state and messages advance even on overrun: the
         // forward already ran, and keeping the policy's state warm
         // means recovery after a slow step needs no re-warmup.
-        let state = &mut self.states[0];
-        state.h.copy_from(&self.bufs.h);
-        state.c.copy_from(&self.bufs.c);
+        let mut actions: Vec<usize> = (0..obs.len()).map(|a| self.act(a)).collect();
         self.channel.publish(&self.next_messages);
         let overrun = matches!(self.cfg.deadline, Some(d) if t0.elapsed() > d);
         for (a, cause) in causes.iter_mut().enumerate() {
@@ -713,8 +663,6 @@ impl ServeRuntime {
     ) -> (Vec<usize>, Vec<Option<DegradeReason>>) {
         let _span = tsc_obs::span!("serve.infer");
         let n = self.policy.num_agents();
-        let cfg = *self.policy.config();
-        let local_dim = self.policy.encoder().local_dim();
         let mut actions = fb_actions;
         for a in 0..n {
             if causes[a].is_some() {
@@ -742,27 +690,12 @@ impl ServeRuntime {
             if let Some(delay) = self.injected_delay {
                 std::thread::sleep(delay);
             }
-            self.extra_allocs += self.x.ensure_shape(1, local_dim + cfg.bandwidth) as u64;
-            let (local, msg) = self.x.row_mut(0).split_at_mut(local_dim);
-            self.policy.encoder().encode_local_into(&obs[a], local);
-            msg.copy_from_slice(&self.delivered[a]);
-            let (params, actor) = &self.policy.actors()[a];
-            let state = &self.states[a];
-            actor.infer(params, &self.x, &state.h, &state.c, &mut self.bufs);
-            self.extra_allocs += self.probs.ensure_shape(1, cfg.max_phases) as u64;
-            tsc_nn::softmax_rows_into(&self.bufs.logits, &mut self.probs);
-            actions[a] = self.greedy_action(0, self.policy.phases_per_agent()[a]);
-            if cfg.bandwidth > 0 {
-                for (dst, &raw) in self.next_messages[a]
-                    .iter_mut()
-                    .zip(self.bufs.message.row(0))
-                {
-                    *dst = logistic(raw);
-                }
-            }
-            let state = &mut self.states[a];
-            state.h.copy_from(&self.bufs.h);
-            state.c.copy_from(&self.bufs.c);
+            let encoder = self.policy.encoder();
+            self.actor
+                .set_input(a, encoder, &obs[a], &self.delivered[a]);
+            let actors = self.policy.actors();
+            self.actor.run_one(a, |b| (&actors[b].0, &actors[b].1));
+            actions[a] = self.act(a);
         }
         self.channel.publish(&self.next_messages);
         (actions, causes)

@@ -11,7 +11,8 @@
 //! * **latency spikes** — the tenant's policy path stalls for a fixed
 //!   extra delay (driving deadline overruns and the circuit breaker);
 //! * **reload storms** — operators hammering hot reload: a reload is
-//!   staged every `k` steps, forcing `ReloadInFlight` degradation.
+//!   staged every `k` steps and swapped in on the next; the live policy
+//!   keeps serving at full quality meanwhile.
 //!
 //! The determinism discipline is exactly the chaos engine's: every
 //! fault is active on a half-open [`Window`] of **fleet decision
@@ -85,7 +86,8 @@ pub enum InfraKind {
     },
     /// A hot reload of the tenant's checkpoint is staged every
     /// `every` steps inside the window (committed on the following
-    /// step), forcing `ReloadInFlight` fallback service.
+    /// step); the staged snapshot is a second buffer, so no step
+    /// degrades.
     ReloadStorm {
         /// Steps between forced reloads (≥ 1).
         every: u32,

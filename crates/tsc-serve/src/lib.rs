@@ -4,15 +4,17 @@
 //! [`tsc_sim::TscEnv`] grid **without the training stack**: no autograd
 //! tape, no optimizer state, near-zero allocation in the hot loop.
 //!
-//! * **Tape-free inference** — forwards run through the `*_into`
-//!   kernels in `tsc-nn` into persistent, pre-sized activation
-//!   buffers; [`ServeRuntime::alloc_events`] exposes the allocation
-//!   probe that pins "no allocation in steady state".
+//! * **Tape-free inference** — forwards run through
+//!   [`ActorStep`](pairuplight::ActorStep), the actor kernel rollout
+//!   collection and the evaluation controller share, into persistent,
+//!   pre-sized activation buffers; [`ServeRuntime::alloc_events`]
+//!   exposes the allocation probe that pins "no allocation in steady
+//!   state".
 //! * **Batched multi-agent inference** — under parameter sharing, all
 //!   intersections' observations and incoming messages are stacked
 //!   into one matrix per step; row independence of every kernel makes
 //!   this bit-identical to per-agent forwards (pinned by the tier-1
-//!   parity test against the training controller).
+//!   parity test against a tape-built reference of the actor).
 //! * **Deadline + graceful degradation** — a configurable per-step
 //!   latency budget; on overrun, affected intersections fall back to a
 //!   warm-standby MaxPressure controller, with typed [`ServeError`]s

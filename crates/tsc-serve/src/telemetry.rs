@@ -359,12 +359,11 @@ mod tests {
         assert_eq!(t.per_agent_fallbacks(), &[1, 0, 2]);
         assert_eq!(t.degraded_steps(), 2);
         assert!((t.fallback_rate() - 3.0 / 9.0).abs() < 1e-12);
-        assert_eq!(t.per_agent_causes()[0], [1, 0, 0, 0]);
-        assert_eq!(t.per_agent_causes()[2], [0, 0, 1, 1]);
+        assert_eq!(t.per_agent_causes()[0], [1, 0, 0]);
+        assert_eq!(t.per_agent_causes()[2], [0, 1, 1]);
         assert_eq!(t.fallbacks_for(DeadlineOverrun), 1);
         assert_eq!(t.fallbacks_for(SensorHealth), 1);
         assert_eq!(t.fallbacks_for(CommsHealth), 1);
-        assert_eq!(t.fallbacks_for(ReloadInFlight), 0);
     }
 
     #[test]

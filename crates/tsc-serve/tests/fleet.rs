@@ -406,9 +406,9 @@ fn fleet_errors_are_typed() {
 
 /// Acceptance pin: reload storms cost **zero degraded steps**. The
 /// double-buffered swap serves the old policy while each staged
-/// checkpoint validates, so a storm of hot reloads produces zero
-/// `ReloadInFlight` fallbacks, counts its swaps, and never touches
-/// the breaker — operator-induced churn is not a tenant fault.
+/// checkpoint validates, so a storm of hot reloads degrades no step,
+/// counts its swaps, and never touches the breaker — operator-induced
+/// churn is not a tenant fault.
 #[test]
 fn reload_storm_swaps_with_zero_degraded_steps() {
     let dir = std::env::temp_dir().join(format!("fleet-storm-{}", std::process::id()));
@@ -440,11 +440,6 @@ fn reload_storm_swaps_with_zero_degraded_steps() {
     let mut envs = vec![env];
     drive(&mut fleet, &mut envs, 25);
     let telemetry = fleet.tenant_telemetry(0);
-    assert_eq!(
-        telemetry.fallbacks_for(tsc_serve::DegradeReason::ReloadInFlight),
-        0,
-        "a staged reload never degrades a step"
-    );
     assert_eq!(telemetry.degraded_steps(), 0, "the storm was invisible");
     let stats = fleet.tenant_stats(0);
     assert!(

@@ -1,13 +1,23 @@
-//! Tier-1 serving parity: a fixed checkpoint plus a fixed seed must
-//! make the batched tape-free serving path produce **exactly** the
-//! greedy action sequence of the training stack's controller, step by
-//! step, over a full 200-decision episode.
+//! Tier-1 execution parity: a fixed checkpoint plus a fixed seed must
+//! make the serving runtime (batched and per-agent) and the evaluation
+//! controller (greedy and stochastic) produce **exactly** the action
+//! sequence of a tape-built reference of the actor, step by step, over
+//! full 200- and 60-decision episodes.
+//!
+//! The reference rebuilds every forward on an autograd tape from the
+//! policy snapshot's public accessors, so it shares no inference code
+//! with the `ActorStep` kernel the runtime and controller run.
 
-use pairuplight::{PairUpLight, PairUpLightConfig};
+use pairuplight::message::logistic;
+use pairuplight::{PairUpLight, PairUpLightConfig, PairingMode, PolicySnapshot};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tsc_nn::{Graph, LstmState, Tensor};
+use tsc_rl::distribution::Categorical;
 use tsc_serve::{ServeConfig, ServeRuntime};
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{flows, FlowPattern, PatternConfig};
-use tsc_sim::{Controller, EnvConfig, SimConfig, TscEnv};
+use tsc_sim::{Controller, EnvConfig, IntersectionObs, SimConfig, TscEnv};
 
 fn tiny_env(horizon: u32) -> TscEnv {
     let grid = Grid::build(GridConfig {
@@ -41,28 +51,109 @@ fn small_cfg() -> PairUpLightConfig {
     cfg
 }
 
-/// Drives `env` for a full episode, asserting at every step that the
-/// serving runtime and the reference controller pick identical actions.
-/// Returns the number of decision steps taken.
+/// A tape-built execution controller: one 1-row autograd forward per
+/// agent per step, sharing no inference code with `ActorStep`.
+struct TapeReference {
+    policy: PolicySnapshot,
+    stochastic: bool,
+    states: Vec<LstmState>,
+    messages: Vec<Vec<f32>>,
+    rng: StdRng,
+}
+
+impl TapeReference {
+    fn new(policy: PolicySnapshot, stochastic: bool) -> Self {
+        let mut r = TapeReference {
+            policy,
+            stochastic,
+            states: Vec::new(),
+            messages: Vec::new(),
+            rng: StdRng::seed_from_u64(0),
+        };
+        r.reset();
+        r
+    }
+}
+
+impl Controller for TapeReference {
+    fn reset(&mut self) {
+        let cfg = self.policy.config();
+        let n = self.policy.num_agents();
+        self.states = (0..n)
+            .map(|_| LstmState::zeros(1, cfg.lstm_hidden))
+            .collect();
+        self.messages = vec![vec![0.0; cfg.bandwidth]; n];
+        self.rng = StdRng::seed_from_u64(cfg.seed ^ 0xC0FFEE);
+    }
+
+    fn decide(&mut self, obs: &[IntersectionObs]) -> Vec<usize> {
+        let cfg = *self.policy.config();
+        let pairing = self.policy.pairing();
+        let partners = match cfg.pairing {
+            PairingMode::CongestedUpstream => pairing.partners(obs),
+            PairingMode::SelfLoop => pairing.self_partners(),
+            PairingMode::RandomUpstream => pairing.random_partners(&mut self.rng),
+        };
+        let mut actions = Vec::with_capacity(obs.len());
+        let mut next_messages = self.messages.clone();
+        for (a, ob) in obs.iter().enumerate() {
+            let mut input = self.policy.encoder().encode_local(ob);
+            input.extend_from_slice(&self.messages[partners[a]]);
+            let (params, actor) = &self.policy.actors()[if self.policy.shared() { 0 } else { a }];
+            let mut g = Graph::new();
+            let (out, next) = actor.step(
+                &mut g,
+                params,
+                Tensor::row_from_slice(&input),
+                &self.states[a],
+            );
+            let probs = tsc_nn::softmax_rows(g.value(out.logits));
+            let n = self.policy.phases_per_agent()[a];
+            let mut masked: Vec<f32> = probs.row(0)[..n].to_vec();
+            let sum: f32 = masked.iter().sum();
+            for p in &mut masked {
+                *p /= sum.max(1e-8);
+            }
+            let dist = Categorical::new(&masked);
+            actions.push(if self.stochastic {
+                dist.sample(&mut self.rng)
+            } else {
+                dist.argmax()
+            });
+            if let Some(m) = out.message {
+                next_messages[a] = g.value(m).row(0).iter().map(|&x| logistic(x)).collect();
+            }
+            self.states[a] = next;
+        }
+        self.messages = next_messages;
+        actions
+    }
+}
+
+/// Drives `env` for a full episode, asserting at every step that every
+/// controller in `under_test` picks the reference's actions. Returns
+/// the number of decision steps taken.
 fn assert_lockstep_parity(
     env: &mut TscEnv,
-    serve: &mut ServeRuntime,
-    reference: &mut pairuplight::PairUpLightController,
+    reference: &mut TapeReference,
+    under_test: &mut [&mut dyn Controller],
     seed: u64,
 ) -> usize {
     let mut obs = env.reset(seed);
     reference.reset();
-    Controller::reset(serve);
+    for c in under_test.iter_mut() {
+        c.reset();
+    }
     let mut steps = 0usize;
     loop {
         let want = reference.decide(&obs);
-        let step = serve.serve_step(&obs).unwrap();
-        assert_eq!(step.actions, want, "action divergence at step {steps}");
-        assert!(
-            step.fell_back.iter().all(|&f| !f),
-            "unexpected fallback at step {steps}"
-        );
-        assert!(step.degraded.is_none());
+        for (i, c) in under_test.iter_mut().enumerate() {
+            assert_eq!(
+                c.decide(&obs),
+                want,
+                "controller {i} diverged at step {steps}"
+            );
+        }
         let r = env.step(&want).unwrap();
         obs = r.obs;
         steps += 1;
@@ -70,6 +161,38 @@ fn assert_lockstep_parity(
             return steps;
         }
     }
+}
+
+/// Greedy: the serving runtime and the greedy controller pick the
+/// reference's actions, and the runtime never falls back. Stochastic
+/// (the default every evaluation uses): the controller samples the
+/// reference's actions from the same seeded stream.
+fn assert_execution_parity(
+    model: &PairUpLight,
+    serve: &mut ServeRuntime,
+    horizon: u32,
+    seed: u64,
+) -> usize {
+    let mut env = tiny_env(horizon);
+    let mut reference = TapeReference::new(model.policy_snapshot(), false);
+    let mut greedy = model.controller();
+    greedy.set_greedy();
+    let steps = assert_lockstep_parity(&mut env, &mut reference, &mut [serve, &mut greedy], seed);
+    assert_eq!(serve.telemetry().steps(), steps as u64);
+    assert_eq!(
+        serve.telemetry().decisions(),
+        (steps * env.num_agents()) as u64
+    );
+    assert_eq!(serve.telemetry().fallback_decisions(), 0);
+
+    assert!(model.config().stochastic_execution, "the default samples");
+    let mut reference = TapeReference::new(model.policy_snapshot(), true);
+    let mut stochastic = model.controller();
+    assert_eq!(
+        assert_lockstep_parity(&mut env, &mut reference, &mut [&mut stochastic], seed),
+        steps
+    );
+    steps
 }
 
 #[test]
@@ -80,19 +203,12 @@ fn batched_serving_matches_training_stack_over_200_steps() {
     let path = std::env::temp_dir().join("tsc_serve_parity_shared.ckpt");
     model.save_checkpoint(&path, 0).unwrap();
 
-    let mut env = tiny_env(1400);
+    let env = tiny_env(1400);
     assert_eq!(env.steps_per_episode(), 200);
     let mut serve =
         ServeRuntime::from_checkpoint(&env, small_cfg(), ServeConfig::default(), &path).unwrap();
     assert!(serve.policy().shared(), "2x2 default cfg shares parameters");
-    let mut reference = model.controller();
-    reference.set_greedy();
-
-    let steps = assert_lockstep_parity(&mut env, &mut serve, &mut reference, 42);
-    assert_eq!(steps, 200);
-    assert_eq!(serve.telemetry().steps(), 200);
-    assert_eq!(serve.telemetry().decisions(), 200 * env.num_agents() as u64);
-    assert_eq!(serve.telemetry().fallback_decisions(), 0);
+    assert_eq!(assert_execution_parity(&model, &mut serve, 1400, 42), 200);
     std::fs::remove_file(&path).ok();
 }
 
@@ -102,20 +218,15 @@ fn per_agent_serving_matches_training_stack_without_parameter_sharing() {
         parameter_sharing: false,
         ..small_cfg()
     };
-    let env0 = tiny_env(420);
-    let model = PairUpLight::new(&env0, cfg);
+    let env = tiny_env(420);
+    let model = PairUpLight::new(&env, cfg);
     let path = std::env::temp_dir().join("tsc_serve_parity_unshared.ckpt");
     model.save_checkpoint(&path, 0).unwrap();
 
-    let mut env = tiny_env(420);
     let mut serve =
         ServeRuntime::from_checkpoint(&env, cfg, ServeConfig::default(), &path).unwrap();
     assert!(!serve.policy().shared());
-    let mut reference = model.controller();
-    reference.set_greedy();
-
-    let steps = assert_lockstep_parity(&mut env, &mut serve, &mut reference, 7);
-    assert_eq!(steps, 60);
+    assert_eq!(assert_execution_parity(&model, &mut serve, 420, 7), 60);
     std::fs::remove_file(&path).ok();
 }
 

@@ -41,7 +41,6 @@ fn cause_strategy() -> impl Strategy<Value = Option<DegradeReason>> {
     prop_oneof![
         3 => Just(None),
         1 => Just(Some(DegradeReason::DeadlineOverrun)),
-        1 => Just(Some(DegradeReason::ReloadInFlight)),
         1 => Just(Some(DegradeReason::SensorHealth)),
         1 => Just(Some(DegradeReason::CommsHealth)),
     ]

@@ -49,7 +49,6 @@ pub mod events;
 pub mod ids;
 pub mod metrics;
 pub mod network;
-pub mod recorder;
 pub mod rollout;
 pub mod routing;
 pub mod scenario;
@@ -69,7 +68,6 @@ pub use error::SimError;
 pub use ids::{Direction, LinkId, NodeId, VehicleId};
 pub use metrics::Metrics;
 pub use network::{Lane, Link, Movement, Network, NetworkBuilder, Node};
-pub use recorder::{Recorder, Sample};
 pub use rollout::{derive_rollout_seed, RolloutSet};
 pub use routing::shortest_route;
 pub use scenario::{Boundary, Fnv64, Scenario};

@@ -65,10 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let path = std::env::temp_dir().join("pairuplight_zoo_model.txt");
-    model.save(&path)?;
-    let mut reloaded = PairUpLight::new(&env, cfg);
-    reloaded.load(&path)?;
+    let path = std::env::temp_dir().join("pairuplight_zoo_model.ckpt");
+    model.save_checkpoint(&path, 0)?;
+    let (reloaded, _) = PairUpLight::resume(&env, cfg, &path)?;
     std::fs::remove_file(&path).ok();
     eprintln!("policy saved and reloaded from disk\n");
 

@@ -29,7 +29,7 @@ cargo run --release -q -p tsc-bench --bin chaos -- --smoke
 echo "==> fleet --smoke (supervised fleet: no abort, replay digest, recovery cycle)"
 cargo run --release -q -p tsc-bench --bin fleet -- --smoke
 
-echo "==> loadgen --smoke (admission: no abort, overload replay digest, zero reload-degraded steps, pinned p99)"
+echo "==> loadgen --smoke (admission: no abort, overload replay digest, zero degraded steps under infra chaos, pinned p99)"
 cargo run --release -q -p tsc-bench --bin loadgen -- --smoke
 
 echo "==> obs_report --smoke (instrumented training + JSONL stream end-to-end)"
@@ -43,5 +43,9 @@ cargo run --release -q -p tsc-bench --bin obs_overhead -- --smoke
 
 echo "==> cityscale --smoke (~200-intersection compiled city: conservation + replay identity)"
 cargo run --release -q -p tsc-bench --bin cityscale -- --smoke
+
+echo "==> perfbench tests (the benchmark builds against collect_rollout, Rollout, ServeConfig, TenantStep)"
+cargo test --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "ci.sh: all gates passed"
