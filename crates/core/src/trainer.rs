@@ -546,7 +546,7 @@ impl PairUpLight {
     /// # Panics
     ///
     /// Panics if `seeds.len() != set.len()`.
-    pub fn collect_rollouts(
+    fn collect_rollouts(
         &self,
         set: &mut RolloutSet,
         seeds: &[u64],

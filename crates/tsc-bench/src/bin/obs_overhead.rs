@@ -2,20 +2,16 @@
 //!
 //! The span instrumentation threaded through rollout collection, GAE,
 //! PPO, and the simulator must be near-free when disabled (one relaxed
-//! atomic load per span site). This bench measures the K=1 serial
-//! rollout loop — the exact cell `rollout_throughput` reports — in
-//! three views:
+//! atomic load per span site). This bench times the K=1 serial rollout
+//! loop — one `collect_rollout` per round on one env — in two views:
 //!
 //! 1. **disabled** — spans compiled in, tracing off (the production
 //!    default);
-//! 2. **enabled** — tracing on, per-span timing collected;
-//! 3. against the **`BENCH_rollout.json` baseline** recorded before
-//!    the instrumentation existed, when that file is present.
+//! 2. **enabled** — tracing on, per-span timing collected.
 //!
-//! With `--json` it writes `BENCH_obs.json`, including the measured
-//! disabled-mode overhead versus the baseline (expected within noise;
-//! the acceptance bar is < 2%) and the per-span self/total breakdown
-//! from the enabled pass.
+//! With `--json` it writes `BENCH_obs.json`: both rates, the
+//! enabled-mode overhead, and the per-span self/total breakdown from
+//! the enabled pass.
 //!
 //! The bench also runs the **flight-recorder gate**: the same
 //! supervised fleet serving loop with recording off and on must fold
@@ -32,9 +28,9 @@ use std::time::Instant;
 use pairuplight::{PairUpLight, PairUpLightConfig};
 use tsc_bench::cli::{exit_on_error, BenchArgs};
 use tsc_bench::forensics::{FleetWorldSpec, TenantWorldSpec};
-use tsc_bench::report::{read_report, Json};
+use tsc_bench::report::Json;
 use tsc_serve::{FleetRuntime, FlightConfig, SupervisorConfig};
-use tsc_sim::rollout::{derive_rollout_seed, RolloutSet};
+use tsc_sim::rollout::derive_rollout_seed;
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{self, FlowPattern, PatternConfig};
 use tsc_sim::{EnvConfig, SimConfig, TscEnv};
@@ -186,20 +182,18 @@ fn recorder_gate(steps: u64) -> Result<(f64, f64, f64), Box<dyn std::error::Erro
     Ok((rate(&off_chunks), rate(&on_chunks), overhead_pct))
 }
 
-/// One measurement pass: the K=1 serial collection loop of
-/// `rollout_throughput`, byte-for-byte the same work.
+/// One measurement pass: the K=1 serial rollout loop, one
+/// `collect_rollout` per round on `env`.
 fn measure(
     model: &PairUpLight,
-    env: &TscEnv,
+    env: &mut TscEnv,
     rounds: u64,
 ) -> Result<f64, Box<dyn std::error::Error>> {
-    let mut set = RolloutSet::new(env, 1);
     let start = Instant::now();
     let mut steps_done: u64 = 0;
     for round in 0..rounds {
-        let seeds = [derive_rollout_seed(0, round, 0)];
-        let rollouts = model.collect_rollouts(&mut set, &seeds, false)?;
-        steps_done += rollouts.iter().map(|r| r.stats.steps as u64).sum::<u64>();
+        let rollout = model.collect_rollout(env, derive_rollout_seed(0, round, 0))?;
+        steps_done += rollout.stats.steps as u64;
     }
     Ok(steps_done as f64 / start.elapsed().as_secs_f64())
 }
@@ -207,7 +201,7 @@ fn measure(
 fn run(horizon: u32, rounds: u64, args: &BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
     let grid = Grid::build(GridConfig::default())?;
     let scenario = patterns::grid_scenario(&grid, FlowPattern::One, &PatternConfig::default())?;
-    let env = TscEnv::new(
+    let mut env = TscEnv::new(
         scenario,
         SimConfig::default(),
         EnvConfig {
@@ -230,14 +224,14 @@ fn run(horizon: u32, rounds: u64, args: &BenchArgs) -> Result<(), Box<dyn std::e
 
     // Warm-up pass so neither measured pass pays first-touch costs.
     tsc_obs::span::set_enabled(false);
-    measure(&model, &env, 1)?;
+    measure(&model, &mut env, 1)?;
 
-    let disabled = measure(&model, &env, rounds)?;
+    let disabled = measure(&model, &mut env, rounds)?;
     println!("spans disabled: {disabled:>10.0} env-steps/s");
 
     tsc_obs::span::reset();
     tsc_obs::span::set_enabled(true);
-    let enabled = measure(&model, &env, rounds)?;
+    let enabled = measure(&model, &mut env, rounds)?;
     tsc_obs::span::set_enabled(false);
     let spans = tsc_obs::span::report();
     println!("spans enabled:  {enabled:>10.0} env-steps/s");
@@ -264,29 +258,6 @@ fn run(horizon: u32, rounds: u64, args: &BenchArgs) -> Result<(), Box<dyn std::e
         ]));
     }
 
-    // PR-1 recorded the same cell before any instrumentation existed;
-    // compare when available. Cross-session wall-clock comparisons are
-    // noisy, so this is reported, while the in-process disabled-vs-
-    // enabled pair above is the controlled measurement.
-    let baseline = read_report("BENCH_rollout.json")?.and_then(|r| {
-        let cells = match r.get("cells") {
-            Some(Json::Arr(cells)) => cells.clone(),
-            _ => return None,
-        };
-        cells
-            .iter()
-            .find(|c| c.get_num("replicas") == Some(1.0) && c.get_str("mode") == Some("serial"))
-            .and_then(|c| c.get_num("env_steps_per_sec"))
-    });
-    let disabled_overhead_pct = baseline.map(|b| (b - disabled) / b * 100.0);
-    match (baseline, disabled_overhead_pct) {
-        (Some(b), Some(pct)) => {
-            println!("BENCH_rollout.json baseline (K=1 serial): {b:.0} env-steps/s");
-            println!("disabled-mode overhead vs baseline: {pct:.2}% (bar: < 2%)");
-        }
-        _ => println!("BENCH_rollout.json baseline not found; skipping cross-run comparison"),
-    }
-
     let gate_steps: u64 = if args.smoke { 400 } else { 1000 };
     let (rec_off, rec_on, rec_pct) = recorder_gate(gate_steps)?;
     println!(
@@ -309,15 +280,6 @@ fn run(horizon: u32, rounds: u64, args: &BenchArgs) -> Result<(), Box<dyn std::e
         ("disabled_steps_per_sec", Json::num(disabled)),
         ("enabled_steps_per_sec", Json::num(enabled)),
         ("enabled_overhead_pct", Json::num(enabled_overhead_pct)),
-        (
-            "baseline_steps_per_sec",
-            baseline.map_or(Json::Null, Json::num),
-        ),
-        (
-            "disabled_overhead_pct",
-            disabled_overhead_pct.map_or(Json::Null, Json::num),
-        ),
-        ("overhead_bar_pct", Json::num(2.0)),
         ("spans", Json::Arr(span_rows)),
         (
             "flight_recorder",

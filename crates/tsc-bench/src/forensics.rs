@@ -249,7 +249,6 @@ impl FleetWorldSpec {
                     .admission_capacity
                     .map(|capacity| AdmissionConfig { capacity }),
                 flight,
-                ..Default::default()
             },
             specs,
         );

@@ -16,14 +16,18 @@
 //! `--hidden`, `--seed` and `--grid` to trade fidelity for wall-clock
 //! time; results are printed and written under `results/`.
 //!
-//! Performance bins (`rollout_throughput`, `checkpoint_overhead`,
-//! `serve_grid`, `fleet`, `cityscale`, …) additionally accept
-//! `--json`, writing `BENCH_*.json` at the repository root via
-//! [`report`]; their shared argument grammar lives in [`cli`].
-//! `serve_grid`, `chaos` and `fleet` also take `--scenario
-//! <name-or-path>` to run on a compiled `tsc-scenario` world (see
-//! [`world`]), and every report embeds the compiled scenario's
-//! fingerprint.
+//! End-to-end and per-layer timing lives in the repository benchmark,
+//! `perfbench/` (run with `python3 perfbench/run.py`). The remaining
+//! bins each hold something it does not: `loadgen` (the gold-class
+//! p99 gate and per-SLA-class report), `cityscale` (the 36→3000
+//! intersection sweep), `obs_overhead` (the flight-recorder gate),
+//! `robustness` and `ablation_pairing` (paper artifacts), and the
+//! `obs_report` and `forensics` tools. Bins that take `--json` write
+//! `BENCH_*.json` at the repository root via [`report`]; their shared
+//! argument grammar lives in [`cli`]. `loadgen` and `robustness` also
+//! take `--scenario <name-or-path>` to run on a compiled
+//! `tsc-scenario` world (see [`world`]), and every report embeds the
+//! compiled scenario's fingerprint.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -4,9 +4,9 @@
 //! *also* write a `BENCH_*.json` file at the repository root so CI and
 //! tooling can track numbers across commits. The JSON value type is
 //! the workspace-shared [`tsc_obs::Json`] (re-exported here): every
-//! bench writer and every report reader — `obs_report`, the overhead
-//! gate, CI — uses the same encoder/parser, so shapes can never drift
-//! between the tool that writes a report and the tool that reads it.
+//! bench writer and every report reader — `obs_report`, CI — uses the
+//! same encoder/parser, so shapes can never drift between the tool
+//! that writes a report and the tool that reads it.
 
 use std::io;
 use std::path::PathBuf;
@@ -44,23 +44,6 @@ pub fn write_prometheus(name: &str, page: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Reads a `BENCH_*.json` report back from the repository root.
-///
-/// # Errors
-///
-/// `Ok(None)` when the file does not exist; `Err` for unreadable files
-/// or files that do not parse as JSON.
-pub fn read_report(name: &str) -> io::Result<Option<Json>> {
-    let path = repo_root().join(name);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => Json::parse(&text)
-            .map(Some)
-            .map_err(|e| io::Error::other(format!("{}: {e}", path.display()))),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,12 +60,5 @@ mod tests {
             ("rows", Json::Arr(vec![Json::num(1u32), Json::num(2.5)])),
         ]);
         assert_eq!(Json::parse(&j.pretty()).unwrap(), j);
-    }
-
-    #[test]
-    fn missing_report_reads_as_none() {
-        assert!(read_report("BENCH_definitely_not_there.json")
-            .unwrap()
-            .is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! `--scenario` resolution: compiled worlds for the bench binaries.
 //!
-//! Every performance bench accepts `--scenario <name-or-path>` through
+//! `loadgen` and `robustness` accept `--scenario <name-or-path>` through
 //! the shared [`BenchArgs`] grammar; this module turns that value into
 //! a [`CompiledScenario`]. The value is either a `tsc-scenario` preset
 //! name (`monaco`, `grid`, `city-<n>`, `corridor-<n>`, `ring-<n>`) or

@@ -387,7 +387,7 @@ impl LoadPlan {
                 let burst = if p.jitter > 0 {
                     let draw = chaos_uniform(fault_salt(seed ^ LOAD_SALT, idx), s, tenant);
                     // draw ∈ [0, 1): scales to 0..=jitter inclusive.
-                    (draw * (p.jitter + 1) as f64) as u64
+                    (draw * p.jitter.saturating_add(1) as f64) as u64
                 } else {
                     0
                 };
@@ -597,6 +597,10 @@ mod tests {
         // The full jitter range is actually reachable.
         assert!(trace(1).contains(&5));
         assert!(trace(1).contains(&8));
+        // An incident file's `"jitter": 1e30` parses to u64::MAX; the
+        // burst saturates instead of overflowing.
+        let hostile = LoadPlan::new().phase(Window::always(), TenantSel::All, 5, u64::MAX);
+        assert!((0..64).all(|s| hostile.offered(1, s, 2) >= 5));
     }
 
     #[test]

@@ -50,8 +50,7 @@
 //!
 //! ## Determinism
 //!
-//! With the default [`FleetClock::Steps`] clock there is **zero
-//! wall-clock dependence**: backoff, retries, every
+//! There is **zero wall-clock dependence**: backoff, retries, every
 //! [`InfraChaosPlan`] decision, and every admission/shedding decision
 //! are functions of the fleet step index and pure hashes. An empty
 //! plan is bit-identical to no plan, and the same seed + plan + load
@@ -66,7 +65,7 @@ use tsc_baselines::MaxPressureController;
 use tsc_obs::flight::NO_DEADLINE;
 use tsc_obs::{
     escape_label_value, fleet_event, write_incident, EventSink, FleetEventKind, FlightFrame,
-    FlightRecorder, FlightTrigger, Histogram, Incident, Json, MetricsRegistry,
+    FlightRecorder, FlightTrigger, Incident, Json, MetricsRegistry,
 };
 use tsc_sim::{Controller, IntersectionObs};
 
@@ -77,26 +76,11 @@ use crate::infra_chaos::{InfraChaosPlan, TenantSel};
 use crate::supervisor::{Supervisor, SupervisorConfig, TenantState};
 use crate::telemetry::ServeTelemetry;
 
-/// What drives the fleet's supervision timers (backoff, retry
-/// schedules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FleetClock {
-    /// One tick per fleet step — fully virtual, bit-reproducible, the
-    /// default (and the only mode the determinism pins run under).
-    #[default]
-    Steps,
-    /// Milliseconds of wall time since the fleet was built — for
-    /// production loops whose step cadence is externally paced.
-    Wall,
-}
-
 /// Fleet-wide configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetConfig {
     /// Supervision knobs applied to every tenant.
     pub supervisor: SupervisorConfig,
-    /// Timer source for backoff/retry scheduling.
-    pub clock: FleetClock,
     /// Seed keying infra-chaos draws, per-tenant backoff jitter, and
     /// admission tie-breaks.
     pub seed: u64,
@@ -352,7 +336,7 @@ pub struct TenantStats {
     pub reload_attempts: u64,
     /// Failed reload attempts (corrupt checkpoint, injected fault).
     pub reload_failures: u64,
-    /// Clock ticks spent from each quarantine entry to the completed
+    /// Fleet steps spent from each quarantine entry to the completed
     /// recovery, summed (divide by [`recoveries`](Self::recoveries)
     /// for the mean recovery latency).
     pub recovery_ticks_total: u64,
@@ -385,11 +369,9 @@ struct Tenant {
     /// [`FleetRuntime::tenant_telemetry`] spans the tenant's whole
     /// life ([`ServeTelemetry::merge`] is load-bearing here).
     archive: ServeTelemetry,
-    /// Clock tick of the current quarantine entry (recovery latency).
+    /// Fleet step of the current quarantine entry (recovery latency).
     quarantined_since: Option<u64>,
     stats: TenantStats,
-    /// Wall time of each full tenant step (supervision included).
-    step_latency: Histogram,
     /// The most recent signal plan handed out — what a held (decimated
     /// off-step or shed) step answers with. Empty until the first
     /// served step.
@@ -416,10 +398,9 @@ pub struct FleetRuntime {
     /// SLA-aware admission controller ([`FleetConfig::admission`];
     /// `None` = layer disabled, every step is `Full`).
     admission: Option<Admission>,
-    /// Fleet steps served so far (the `Steps` clock and the chaos
-    /// plan's time base).
+    /// Fleet steps served so far: the supervision clock and the chaos
+    /// plan's time base.
     step: u64,
-    epoch: Instant,
     obs_sink: Option<EventSink>,
     /// Where incident files are written (`None` = in-memory only).
     incident_dir: Option<PathBuf>,
@@ -460,7 +441,6 @@ impl FleetRuntime {
                     name: spec.name,
                     quarantined_since: None,
                     stats: TenantStats::default(),
-                    step_latency: Histogram::new(),
                     last_actions: Vec::new(),
                     browned_out: false,
                     sla: spec.sla,
@@ -475,7 +455,6 @@ impl FleetRuntime {
             plan: InfraChaosPlan::new(),
             admission,
             step: 0,
-            epoch: Instant::now(),
             obs_sink: None,
             incident_dir: None,
             replay_context: Json::Null,
@@ -520,12 +499,6 @@ impl FleetRuntime {
     /// configured (per-tenant shed/step counters live here).
     pub fn admission(&self) -> Option<&Admission> {
         self.admission.as_ref()
-    }
-
-    /// Wall-time histogram of tenant `t`'s full fleet steps
-    /// (supervision + whichever controller served).
-    pub fn tenant_step_latency(&self, t: usize) -> &Histogram {
-        &self.tenants[t].step_latency
     }
 
     /// Serving telemetry of tenant `t` across its whole life: the
@@ -574,14 +547,6 @@ impl FleetRuntime {
     /// attached.
     pub fn detach_obs(&mut self) -> Option<EventSink> {
         self.obs_sink.take()
-    }
-
-    /// Current supervision clock tick.
-    fn now(&self) -> u64 {
-        match self.cfg.clock {
-            FleetClock::Steps => self.step,
-            FleetClock::Wall => u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX),
-        }
     }
 
     /// Serves one decision step for every tenant at an offered load of
@@ -634,7 +599,6 @@ impl FleetRuntime {
             });
         }
         let step = self.step;
-        let now = self.now();
         let seed = self.cfg.seed;
         // Admission runs first, over every tenant at once (levels are
         // a fleet-wide budget decision); the per-tenant loop then
@@ -702,13 +666,11 @@ impl FleetRuntime {
                 &self.plan,
                 seed,
                 step,
-                now,
                 level,
                 forward_due,
                 &mut events,
             );
             let dt = t0.elapsed();
-            tenant.step_latency.record(dt);
             step_out.level = level;
             step_out.latency = dt;
             tenant.last_actions.clone_from(&step_out.actions);
@@ -796,7 +758,6 @@ impl FleetRuntime {
         plan: &InfraChaosPlan,
         seed: u64,
         step: u64,
-        now: u64,
         level: ServiceLevel,
         forward_due: bool,
         events: &mut Vec<(usize, FleetEventKind)>,
@@ -833,8 +794,8 @@ impl FleetRuntime {
             level == ServiceLevel::Full || (level == ServiceLevel::Degraded && forward_due);
         match tenant.supervisor.state() {
             TenantState::Quarantined => {
-                if tenant.supervisor.retry_due(now) {
-                    Self::attempt_reload(tenant, idx, plan, seed, step, now, events);
+                if tenant.supervisor.retry_due(step) {
+                    Self::attempt_reload(tenant, idx, plan, seed, step, events);
                 }
                 TenantStep::new(
                     fb_actions,
@@ -844,16 +805,16 @@ impl FleetRuntime {
                 )
             }
             TenantState::Degraded => {
-                if policy_due && tenant.supervisor.retry_due(now) {
+                if policy_due && tenant.supervisor.retry_due(step) {
                     tenant.supervisor.begin_trial();
-                    Self::policy_step(tenant, idx, obs, fb_actions, plan, seed, step, now, events)
+                    Self::policy_step(tenant, idx, obs, fb_actions, plan, seed, step, events)
                 } else {
                     TenantStep::new(fb_actions, TenantState::Degraded, ServedBy::Standby, false)
                 }
             }
             TenantState::Healthy | TenantState::Recovering => match level {
                 _ if policy_due => {
-                    Self::policy_step(tenant, idx, obs, fb_actions, plan, seed, step, now, events)
+                    Self::policy_step(tenant, idx, obs, fb_actions, plan, seed, step, events)
                 }
                 ServiceLevel::Standby => TenantStep::new(
                     fb_actions,
@@ -892,7 +853,6 @@ impl FleetRuntime {
         plan: &InfraChaosPlan,
         seed: u64,
         step: u64,
-        now: u64,
         events: &mut Vec<(usize, FleetEventKind)>,
     ) -> TenantStep {
         let was = tenant.supervisor.state();
@@ -916,8 +876,8 @@ impl FleetRuntime {
                 if fault {
                     tenant.stats.soft_faults += 1;
                 }
-                if let Some(state) = tenant.supervisor.record_step(fault, now) {
-                    Self::note_transition(tenant, idx, was, state, now, events);
+                if let Some(state) = tenant.supervisor.record_step(fault, step) {
+                    Self::note_transition(tenant, idx, was, state, step, events);
                 }
                 let state = tenant.supervisor.state();
                 // A trip this very step keeps the policy's actions: the
@@ -929,8 +889,8 @@ impl FleetRuntime {
                 // Typed serve error (e.g. wired to the wrong grid):
                 // the standby answers, the breaker counts a fault.
                 tenant.stats.soft_faults += 1;
-                if let Some(state) = tenant.supervisor.record_step(true, now) {
-                    Self::note_transition(tenant, idx, was, state, now, events);
+                if let Some(state) = tenant.supervisor.record_step(true, step) {
+                    Self::note_transition(tenant, idx, was, state, step, events);
                 }
                 TenantStep::new(
                     fb_actions,
@@ -941,8 +901,8 @@ impl FleetRuntime {
             }
             Err(_) => {
                 tenant.stats.panics += 1;
-                let state = tenant.supervisor.record_panic(now);
-                Self::note_transition(tenant, idx, was, state, now, events);
+                let state = tenant.supervisor.record_panic(step);
+                Self::note_transition(tenant, idx, was, state, step, events);
                 TenantStep::new(fb_actions, state, ServedBy::Standby, true)
             }
         }
@@ -951,14 +911,12 @@ impl FleetRuntime {
     /// One quarantine-recovery reload attempt: load the last good
     /// checkpoint (or clone the in-memory snapshot), rebuild the
     /// runtime, and report the outcome to the supervisor.
-    #[allow(clippy::too_many_arguments)]
     fn attempt_reload(
         tenant: &mut Tenant,
         idx: usize,
         plan: &InfraChaosPlan,
         seed: u64,
         step: u64,
-        now: u64,
         events: &mut Vec<(usize, FleetEventKind)>,
     ) {
         tenant.stats.reload_attempts += 1;
@@ -986,25 +944,25 @@ impl FleetRuntime {
                 tenant.archive.merge(tenant.runtime.telemetry());
                 tenant.runtime = ServeRuntime::new(snapshot.clone(), tenant.serve_cfg);
                 tenant.last_good = snapshot;
-                let state = tenant.supervisor.reload_result(true, now);
-                Self::note_transition(tenant, idx, TenantState::Quarantined, state, now, events);
+                let state = tenant.supervisor.reload_result(true, step);
+                Self::note_transition(tenant, idx, TenantState::Quarantined, state, step, events);
             }
             Err(_) => {
                 tenant.stats.reload_failures += 1;
-                tenant.supervisor.reload_result(false, now);
+                tenant.supervisor.reload_result(false, step);
                 events.push((idx, FleetEventKind::RecoveryFailed));
             }
         }
     }
 
-    /// Books a supervisor transition into stats + events. `now` feeds
+    /// Books a supervisor transition into stats + events. `step` feeds
     /// recovery-latency accounting.
     fn note_transition(
         tenant: &mut Tenant,
         idx: usize,
         from: TenantState,
         to: TenantState,
-        now: u64,
+        step: u64,
         events: &mut Vec<(usize, FleetEventKind)>,
     ) {
         match to {
@@ -1015,7 +973,7 @@ impl FleetRuntime {
             TenantState::Quarantined => {
                 tenant.stats.quarantines += 1;
                 if tenant.quarantined_since.is_none() {
-                    tenant.quarantined_since = Some(now);
+                    tenant.quarantined_since = Some(step);
                 }
                 events.push((idx, FleetEventKind::QuarantineEnter));
             }
@@ -1029,7 +987,7 @@ impl FleetRuntime {
                 events.push((idx, FleetEventKind::BreakerClose));
                 if let Some(since) = tenant.quarantined_since.take() {
                     tenant.stats.recoveries += 1;
-                    tenant.stats.recovery_ticks_total += now.saturating_sub(since);
+                    tenant.stats.recovery_ticks_total += step.saturating_sub(since);
                     events.push((idx, FleetEventKind::RecoveryOk));
                 }
             }

@@ -210,7 +210,7 @@ impl InfraChaosPlan {
                     && chaos_uniform(fault_salt(seed ^ INFRA_SALT, idx), clamp_step(step), tenant)
                         < p
                 {
-                    total_us += extra_us;
+                    total_us = total_us.saturating_add(extra_us);
                 }
             }
         }
@@ -477,6 +477,15 @@ mod tests {
             .latency_spike(Window::always(), TenantSel::All, 200, 1.0)
             .reload_storm(Window::new(4, 20), TenantSel::All, 5);
         assert_eq!(plan.spike(0, 3, 0), Some(Duration::from_micros(500)));
+        // Two `"extra_us": 1e30` faults from an incident file (each
+        // parses to u64::MAX) saturate instead of overflowing.
+        let hostile = InfraChaosPlan::new()
+            .latency_spike(Window::always(), TenantSel::All, u64::MAX, 1.0)
+            .latency_spike(Window::always(), TenantSel::All, u64::MAX, 1.0);
+        assert_eq!(
+            hostile.spike(0, 3, 0),
+            Some(Duration::from_micros(u64::MAX))
+        );
         assert!(plan.storm_due(4, 0));
         assert!(!plan.storm_due(5, 0));
         assert!(plan.storm_due(9, 0));

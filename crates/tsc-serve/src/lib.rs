@@ -100,7 +100,7 @@ pub use admission::{Admission, AdmissionConfig, LoadPhase, LoadPlan, ServiceLeve
 pub use engine::{DegradeReason, ResilienceConfig, ServeConfig, ServeRuntime, ServeStep};
 pub use error::ServeError;
 pub use fleet::{
-    actions_digest, obs_digest, FleetClock, FleetConfig, FleetExposition, FleetRuntime, FleetStep,
+    actions_digest, obs_digest, FleetConfig, FleetExposition, FleetRuntime, FleetStep,
     FlightConfig, FlightHealth, ServedBy, TenantSpec, TenantStats, TenantStep, MAX_HELD_INCIDENTS,
 };
 pub use infra_chaos::{InfraChaosPlan, InfraFault, InfraKind, TenantSel};

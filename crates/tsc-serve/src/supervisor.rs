@@ -31,9 +31,8 @@
 //! All transitions go through one **pure** function,
 //! [`Supervisor::transition`], so the whole `(state, event)` matrix is
 //! exhaustively unit-testable. All timing is expressed in ticks of the
-//! fleet's pluggable clock ([`FleetClock`](crate::FleetClock)); with
-//! the default step-counting clock the machine has **zero wall-clock
-//! dependence**. Backoff jitter is a splitmix64 hash of
+//! fleet's step clock (one tick per fleet step), so the machine has
+//! **zero wall-clock dependence**. Backoff jitter is a splitmix64 hash of
 //! `(tenant salt, attempt)` — bit-reproducible, no RNG state consumed,
 //! the same discipline as [`tsc_sim::chaos`].
 

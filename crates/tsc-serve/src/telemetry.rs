@@ -34,9 +34,10 @@ pub struct ServeTelemetry {
     /// Admission decisions by brownout-ladder rung (indexed by
     /// [`ServiceLevel::index`]); all zero without admission control.
     level_steps: [u64; ServiceLevel::COUNT],
-    /// Requests offered to the admission controller.
+    /// Requests offered to the admission controller (saturating:
+    /// offered load is caller input).
     offered_requests: u64,
-    /// Offered requests refused by shedding.
+    /// Offered requests refused by shedding (saturating).
     shed_requests: u64,
 }
 
@@ -84,9 +85,9 @@ impl ServeTelemetry {
     /// is [`ServiceLevel::Shed`]). Allocation-free.
     pub fn record_admission(&mut self, level: ServiceLevel, offered: u64) {
         self.level_steps[level.index()] += 1;
-        self.offered_requests += offered;
+        self.offered_requests = self.offered_requests.saturating_add(offered);
         if level == ServiceLevel::Shed {
-            self.shed_requests += offered;
+            self.shed_requests = self.shed_requests.saturating_add(offered);
         }
     }
 
@@ -109,8 +110,8 @@ impl ServeTelemetry {
         for (slot, o) in self.level_steps.iter_mut().zip(&other.level_steps) {
             *slot += o;
         }
-        self.offered_requests += other.offered_requests;
-        self.shed_requests += other.shed_requests;
+        self.offered_requests = self.offered_requests.saturating_add(other.offered_requests);
+        self.shed_requests = self.shed_requests.saturating_add(other.shed_requests);
         for (slot, o) in self
             .per_agent_fallbacks
             .iter_mut()
@@ -384,6 +385,16 @@ mod tests {
         assert_eq!(a.level_steps(), &[1, 1, 1, 1]);
         assert_eq!(a.offered_requests(), 11);
         assert_eq!(a.shed_requests(), 5);
+        // Hostile offered loads saturate both counters, when recorded
+        // and when merged.
+        let mut c = ServeTelemetry::new(1);
+        c.record_admission(Shed, u64::MAX);
+        c.record_admission(Shed, u64::MAX);
+        assert_eq!(c.offered_requests(), u64::MAX);
+        assert_eq!(c.shed_requests(), u64::MAX);
+        a.merge(&c);
+        assert_eq!(a.offered_requests(), u64::MAX);
+        assert_eq!(a.shed_requests(), u64::MAX);
         assert_eq!(ServeTelemetry::new(2).shed_rate(), 0.0);
     }
 

@@ -293,6 +293,31 @@ fn offered_load_is_validated_and_inert_without_admission() {
     assert_eq!(loaded_digest, plain.step(&views_b).unwrap().digest());
 }
 
+/// Offered load is caller input: a hostile `u64::MAX` per tenant is
+/// answered on every step (the request counters saturate), never a
+/// panic.
+#[test]
+fn hostile_offered_load_never_panics_the_fleet() {
+    let (mut envs, specs) = three_tenants(ServeConfig::default());
+    let mut fleet = FleetRuntime::new(
+        FleetConfig {
+            admission: Some(AdmissionConfig { capacity: 100 }),
+            ..Default::default()
+        },
+        specs,
+    );
+    let obs: Vec<_> = envs
+        .iter_mut()
+        .enumerate()
+        .map(|(i, env)| env.reset(1 + i as u64))
+        .collect();
+    let views: Vec<&[_]> = obs.iter().map(|o| o.as_slice()).collect();
+    for _ in 0..2 {
+        assert!(fleet.step_with_load(&views, &[u64::MAX; 3]).is_ok());
+    }
+    assert_eq!(fleet.tenant_telemetry(0).offered_requests(), u64::MAX);
+}
+
 // ---------------------------------------------------------------------
 // Satellite: property test — random load programs + SLA configs never
 // violate a tenant's max shed rate, and the whole level sequence

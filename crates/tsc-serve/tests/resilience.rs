@@ -12,7 +12,7 @@ use tsc_serve::{DegradeReason, ResilienceConfig, ServeConfig, ServeError, ServeR
 use tsc_sim::chaos::AgentSel;
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{flows, FlowPattern, PatternConfig};
-use tsc_sim::{ChaosPlan, Controller, EnvConfig, LinkSel, SimConfig, TscEnv, Window};
+use tsc_sim::{ChaosPlan, Controller, EnvConfig, LinkSel, NodeSel, SimConfig, TscEnv, Window};
 
 fn tiny_env(horizon: u32) -> TscEnv {
     let grid = Grid::build(GridConfig {
@@ -96,6 +96,51 @@ fn total_message_loss_degrades_to_exact_max_pressure() {
         "every fallback is attributed to comms health"
     );
     assert_eq!(t.fallbacks_for(DegradeReason::DeadlineOverrun), 0);
+}
+
+/// All three fault surfaces at once for a whole episode and its
+/// drain: sensor dropout and noise, command loss and an all-red freeze
+/// in the simulator, total message loss on the serving side. No step
+/// errors, and every fallback is a health fallback (sensor or comms),
+/// never a deadline overrun.
+#[test]
+fn mixed_surface_chaos_episode_never_errors() {
+    let h = 300;
+    let plan = ChaosPlan::default()
+        .sensor_dropout(Window::new(h / 4, h / 2), LinkSel::All, 1.0)
+        .sensor_noise(Window::new(h / 2, 3 * h / 4), LinkSel::All, 0.5)
+        .command_loss(Window::new(h / 3, 2 * h / 3), NodeSel::All, 1.0)
+        .all_red(Window::new(h / 2, h / 2 + 10), NodeSel::All)
+        .message_drop(Window::always(), AgentSel::All, 1.0);
+    let mut env = tiny_env(h);
+    let model = PairUpLight::new(&env, small_cfg());
+    let mut serve = ServeRuntime::new(
+        model.policy_snapshot(),
+        ServeConfig {
+            fallback_min_hold: 2,
+            resilience: ResilienceConfig {
+                health: Some(HealthConfig::default()),
+                sensor_fallback_after: 2,
+                comms_fallback_after: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    env.set_chaos(plan.clone());
+    serve.set_chaos(&plan, 42).unwrap();
+    env.run_episode(&mut serve, 42)
+        .expect("no error under mixed chaos");
+    env.drain(&mut serve, 4 * h)
+        .expect("no error while draining");
+    let t = serve.telemetry();
+    assert_eq!(t.fallbacks_for(DegradeReason::DeadlineOverrun), 0);
+    assert_eq!(
+        t.fallbacks_for(DegradeReason::SensorHealth) + t.fallbacks_for(DegradeReason::CommsHealth),
+        t.fallback_decisions(),
+        "every fallback is a sensor or comms health fallback"
+    );
+    assert!(t.fallbacks_for(DegradeReason::CommsHealth) > 0);
 }
 
 /// Partial message faults (delay, corruption) are absorbed by the

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Pre-PR gate: formatting, lints with warnings denied, release build,
-# and the tier-1 test suite. Run from anywhere inside the repo.
+# the tier-1 test suite, smoke runs of the bench bins that hold gates
+# of their own, and perfbench's tests. Serving, chaos and fleet
+# behaviour is pinned by tier-1 tests, not by bin smokes. Run from
+# anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,15 +23,6 @@ echo "==> parity smoke (event core vs legacy oracle, all flow patterns)"
 cargo test --release -q -p tsc-sim --test parity
 cargo test --release -q -p tsc-sim --test golden
 
-echo "==> serve_grid --smoke (serving runtime end-to-end)"
-cargo run --release -q -p tsc-bench --bin serve_grid -- --smoke
-
-echo "==> chaos --smoke (mixed faults + resilient serving end-to-end)"
-cargo run --release -q -p tsc-bench --bin chaos -- --smoke
-
-echo "==> fleet --smoke (supervised fleet: no abort, replay digest, recovery cycle)"
-cargo run --release -q -p tsc-bench --bin fleet -- --smoke
-
 echo "==> loadgen --smoke (admission: no abort, overload replay digest, zero degraded steps under infra chaos, pinned p99)"
 cargo run --release -q -p tsc-bench --bin loadgen -- --smoke
 
@@ -38,7 +32,7 @@ cargo run --release -q -p tsc-bench --bin obs_report -- --smoke
 echo "==> forensics --smoke (flight recorder: dump incidents under chaos, replay bit-for-bit)"
 cargo run --release -q -p tsc-bench --bin forensics -- --smoke
 
-echo "==> obs_overhead --smoke (observability overhead bars incl. flight-recorder gate)"
+echo "==> obs_overhead --smoke (span overhead + flight-recorder gate)"
 cargo run --release -q -p tsc-bench --bin obs_overhead -- --smoke
 
 echo "==> cityscale --smoke (~200-intersection compiled city: conservation + replay identity)"
