@@ -181,14 +181,15 @@ impl Checkpoint {
             last.1.push_str(line);
             last.1.push('\n');
         }
-        if sections.len() != 2 * num_bundles {
+        // `num_bundles` comes from the file: compare it with checked
+        // arithmetic and size nothing by it.
+        if num_bundles.checked_mul(2) != Some(sections.len()) {
             return Err(LoadError::Format(format!(
-                "expected {} sections for {num_bundles} bundles, found {}",
-                2 * num_bundles,
+                "expected two sections for each of {num_bundles} bundles, found {}",
                 sections.len()
             )));
         }
-        let mut bundles = Vec::with_capacity(num_bundles);
+        let mut bundles = Vec::with_capacity(sections.len() / 2);
         for pair in sections.chunks(2) {
             let [(false, params_text), (true, adam_text)] = pair else {
                 return Err(LoadError::Format(
@@ -441,6 +442,50 @@ mod tests {
 
     fn ck_text() -> String {
         sample().encode()
+    }
+
+    /// `body` with a valid checksum trailer: the FNV trailer is not a
+    /// MAC, so a crafted file gets past it and only the parser stands
+    /// between its counts and the allocator.
+    fn sealed(body: &str) -> String {
+        format!(
+            "{body}checksum {} {:016x}\n",
+            body.len(),
+            fnv1a64(body.as_bytes())
+        )
+    }
+
+    const HEAD: &str = "fingerprint 0000000000000000\nepisodes 0\nrounds 0\nbase-seed 0\n";
+
+    #[test]
+    fn crafted_bundle_count_is_a_typed_error() {
+        let text = sealed(&format!(
+            "pairuplight-checkpoint v1 bundles=9223372036854775808\n{HEAD}"
+        ));
+        let err = Checkpoint::decode(&text).unwrap_err();
+        assert!(err.to_string().contains("sections"), "{err}");
+    }
+
+    #[test]
+    fn crafted_adam_tensor_count_is_a_typed_error() {
+        let text = sealed(&format!(
+            "pairuplight-checkpoint v1 bundles=1\n{HEAD}\
+             tsc-nn-params v1\n0\n\
+             tsc-nn-adam v1\n0.001 0.9 0.999 1e-8 0 18446744073709551615\n"
+        ));
+        let err = Checkpoint::decode(&text).unwrap_err();
+        assert!(err.to_string().contains("end of file"), "{err}");
+    }
+
+    #[test]
+    fn crafted_tensor_shape_is_a_typed_error() {
+        let text = sealed(&format!(
+            "pairuplight-checkpoint v1 bundles=1\n{HEAD}\
+             tsc-nn-params v1\n1\nw 4294967296 4294967296\n\n\
+             tsc-nn-adam v1\n0.001 0.9 0.999 1e-8 0 1\n4294967296 4294967296\n\n\n"
+        ));
+        let err = Checkpoint::decode(&text).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

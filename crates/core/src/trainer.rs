@@ -736,12 +736,7 @@ impl PairUpLight {
         let _span = tsc_obs::span!("ppo.minibatch");
         let bw = self.cfg.bandwidth;
         let rows = items.len();
-        let mut actor_in = Vec::with_capacity(rows);
-        let mut actor_h = Vec::with_capacity(rows);
-        let mut actor_c = Vec::with_capacity(rows);
-        let mut critic_in = Vec::with_capacity(rows);
-        let mut critic_h = Vec::with_capacity(rows);
-        let mut critic_c = Vec::with_capacity(rows);
+        let value_scale = self.value_scale();
         let mut actions = Vec::with_capacity(rows);
         let mut old_logp = Vec::with_capacity(rows);
         let mut advs = Vec::with_capacity(rows);
@@ -749,39 +744,53 @@ impl PairUpLight {
         let mut aux_targets = Vec::with_capacity(rows);
         for &(a, t) in items {
             let tr = &buffer.transitions(a)[t];
-            let mut input = tr.obs.clone();
-            input.extend_from_slice(&tr.message_in);
-            actor_in.push(input);
-            actor_h.push(tr.actor_h.0.clone());
-            actor_c.push(tr.actor_h.1.clone());
-            critic_in.push(tr.critic_obs.clone());
-            critic_h.push(tr.critic_h.0.clone());
-            critic_c.push(tr.critic_h.1.clone());
             actions.push(tr.action);
             old_logp.push(tr.log_prob);
             let target = buffer.target(a, t);
             advs.push(target.advantage);
-            rets.push(target.ret / self.value_scale());
+            rets.push(target.ret / value_scale);
             aux_targets.push(tr.aux.first().copied().unwrap_or(0.0));
         }
-        let stack = |rows: &[Vec<f32>]| {
-            let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-            Tensor::from_rows(&refs)
+        // One `rows × cols` network input, row `r` filled from item `r`.
+        let gather = |cols: usize, fill: &dyn Fn(&Transition, &mut [f32])| {
+            let mut x = Tensor::zeros(rows, cols);
+            for (r, &(a, t)) in items.iter().enumerate() {
+                fill(&buffer.transitions(a)[t], x.row_mut(r));
+            }
+            x
         };
         let bundle = &mut self.bundles[b];
+        let obs_dim = bundle.actor.obs_dim();
+        let actor_hidden = bundle.actor.lstm_hidden();
+        let critic_hidden = bundle.critic.lstm_hidden();
         let mut g = Graph::new();
-        let x = g.input(stack(&actor_in));
-        let h = g.input(stack(&actor_h));
-        let c = g.input(stack(&actor_c));
+        let x = g.input(gather(obs_dim + bw, &|tr, row| {
+            let (obs, msg) = row.split_at_mut(obs_dim);
+            obs.copy_from_slice(&tr.obs);
+            msg.copy_from_slice(&tr.message_in);
+        }));
+        let h = g.input(gather(actor_hidden, &|tr, row| {
+            row.copy_from_slice(&tr.actor_h.0)
+        }));
+        let c = g.input(gather(actor_hidden, &|tr, row| {
+            row.copy_from_slice(&tr.actor_h.1)
+        }));
         let (out, _) = bundle.actor.forward(&mut g, &bundle.params, x, h, c);
         let logp_all = g.log_softmax(out.logits);
         let picked = g.gather_cols(logp_all, actions);
         let pl = clipped_policy_loss(&mut g, picked, &old_logp, &advs, self.cfg.ppo.clip);
         let ent = entropy_bonus(&mut g, out.logits);
         // Critic.
-        let cx = g.input(stack(&critic_in));
-        let ch = g.input(stack(&critic_h));
-        let cc = g.input(stack(&critic_c));
+        let critic_dim = bundle.critic.input_dim();
+        let cx = g.input(gather(critic_dim, &|tr, row| {
+            row.copy_from_slice(&tr.critic_obs)
+        }));
+        let ch = g.input(gather(critic_hidden, &|tr, row| {
+            row.copy_from_slice(&tr.critic_h.0)
+        }));
+        let cc = g.input(gather(critic_hidden, &|tr, row| {
+            row.copy_from_slice(&tr.critic_h.1)
+        }));
         let (v, _, _) = bundle.critic.forward(&mut g, &bundle.params, cx, ch, cc);
         let vl = value_loss(&mut g, v, &rets);
         // Assemble: policy + c_v·value − β·entropy (+ message aux).
@@ -1496,6 +1505,37 @@ mod tests {
         let (legacy_bits, legacy_rewards) = run(true);
         assert_eq!(event_rewards, legacy_rewards, "episode rewards diverged");
         assert_eq!(event_bits, legacy_bits, "trained weights diverged");
+    }
+
+    /// Golden pin of the trainer's arithmetic. Every other bit-identity
+    /// test compares two runs of the same code, so a kernel change that
+    /// moves bits would pass them all; this one compares against the
+    /// FNV-1a-64 of `parameter_vector()` bits after two rounds, for
+    /// shared parameters with communication and for one bundle per
+    /// agent.
+    #[test]
+    fn two_training_rounds_match_golden_parameter_digest() {
+        let digest = |cfg: PairUpLightConfig| {
+            let mut env = tiny_env(140);
+            let mut model = PairUpLight::new(&env, cfg);
+            for seed in [1, 2] {
+                model.train_episode(&mut env, seed).unwrap();
+            }
+            let bytes: Vec<u8> = model
+                .parameter_vector()
+                .iter()
+                .flat_map(|p| p.to_bits().to_le_bytes())
+                .collect();
+            crate::checkpoint::fnv1a64(&bytes)
+        };
+        let shared = small_cfg();
+        assert!(shared.parameter_sharing && shared.bandwidth > 0);
+        let unshared = PairUpLightConfig {
+            parameter_sharing: false,
+            ..small_cfg()
+        };
+        assert_eq!(digest(shared), 0x25a2_db9a_28a9_a185, "shared");
+        assert_eq!(digest(unshared), 0x4149_4b92_1c8b_b7d2, "per-agent");
     }
 
     #[test]

@@ -60,11 +60,45 @@ enum Op {
     Transpose(Var),
 }
 
+impl Op {
+    /// The nodes this op reads.
+    fn inputs(&self) -> [Option<Var>; 2] {
+        match *self {
+            Op::Leaf | Op::Param(_) => [None, None],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRow(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Minimum(a, b)
+            | Op::ConcatCols(a, b) => [Some(a), Some(b)],
+            Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::Exp(a)
+            | Op::Softmax(a)
+            | Op::LogSoftmax(a)
+            | Op::GatherCols(a, _)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::Square(a)
+            | Op::Clamp(a, _, _)
+            | Op::SliceCols(a, _)
+            | Op::Transpose(a) => [Some(a), None],
+        }
+    }
+}
+
 /// A single forward pass' computation tape.
 #[derive(Debug, Default)]
 pub struct Graph {
     values: Vec<Tensor>,
     ops: Vec<Op>,
+    /// Whether some parameter reaches each node; backward computes
+    /// gradients for these nodes only.
+    needs_grad: Vec<bool>,
 }
 
 impl Graph {
@@ -74,8 +108,13 @@ impl Graph {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        let needs_grad = match op {
+            Op::Param(_) => true,
+            _ => op.inputs().iter().flatten().any(|v| self.needs_grad[v.0]),
+        };
         self.values.push(value);
         self.ops.push(op);
+        self.needs_grad.push(needs_grad);
         Var(self.values.len() - 1)
     }
 
@@ -128,10 +167,10 @@ impl Graph {
         let (n, m) = self.values[a.0].shape();
         assert_eq!(self.values[row.0].shape(), (1, m), "row vector shape");
         let mut v = self.values[a.0].clone();
+        let bias = self.values[row.0].data();
         for r in 0..n {
-            for c in 0..m {
-                let x = v.get(r, c) + self.values[row.0].get(0, c);
-                v.set(r, c, x);
+            for (x, &b) in v.row_mut(r).iter_mut().zip(bias) {
+                *x += b;
             }
         }
         self.push(v, Op::AddRow(a, row))
@@ -140,33 +179,14 @@ impl Graph {
     /// Element-wise difference `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.values[a.0].shape(), self.values[b.0].shape());
-        let b_t = self.values[b.0].clone();
-        let v = Tensor::from_vec(
-            b_t.rows(),
-            b_t.cols(),
-            self.values[a.0]
-                .data()
-                .iter()
-                .zip(b_t.data())
-                .map(|(x, y)| x - y)
-                .collect(),
-        );
+        let v = elementwise(&self.values[a.0], &self.values[b.0], |x, y| x - y);
         self.push(v, Op::Sub(a, b))
     }
 
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.values[a.0].shape(), self.values[b.0].shape());
-        let v = Tensor::from_vec(
-            self.values[a.0].rows(),
-            self.values[a.0].cols(),
-            self.values[a.0]
-                .data()
-                .iter()
-                .zip(self.values[b.0].data())
-                .map(|(x, y)| x * y)
-                .collect(),
-        );
+        let v = elementwise(&self.values[a.0], &self.values[b.0], |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
@@ -219,8 +239,8 @@ impl Graph {
         for r in 0..x.rows() {
             let max = x.row(r).iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let logsum = x.row(r).iter().map(|&y| (y - max).exp()).sum::<f32>().ln() + max;
-            for c in 0..x.cols() {
-                v.set(r, c, x.get(r, c) - logsum);
+            for y in v.row_mut(r) {
+                *y -= logsum;
             }
         }
         self.push(v, Op::LogSoftmax(a))
@@ -273,16 +293,7 @@ impl Graph {
     /// (ties go to `a`).
     pub fn minimum(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.values[a.0].shape(), self.values[b.0].shape());
-        let v = Tensor::from_vec(
-            self.values[a.0].rows(),
-            self.values[a.0].cols(),
-            self.values[a.0]
-                .data()
-                .iter()
-                .zip(self.values[b.0].data())
-                .map(|(x, y)| x.min(*y))
-                .collect(),
-        );
+        let v = elementwise(&self.values[a.0], &self.values[b.0], f32::min);
         self.push(v, Op::Minimum(a, b))
     }
 
@@ -293,12 +304,9 @@ impl Graph {
         assert_eq!(x.rows(), y.rows(), "concat row mismatch");
         let mut v = Tensor::zeros(x.rows(), x.cols() + y.cols());
         for r in 0..x.rows() {
-            for c in 0..x.cols() {
-                v.set(r, c, x.get(r, c));
-            }
-            for c in 0..y.cols() {
-                v.set(r, x.cols() + c, y.get(r, c));
-            }
+            let (left, right) = v.row_mut(r).split_at_mut(x.cols());
+            left.copy_from_slice(x.row(r));
+            right.copy_from_slice(y.row(r));
         }
         self.push(v, Op::ConcatCols(a, b))
     }
@@ -309,9 +317,7 @@ impl Graph {
         assert!(start < end && end <= x.cols(), "slice bounds");
         let mut v = Tensor::zeros(x.rows(), end - start);
         for r in 0..x.rows() {
-            for c in start..end {
-                v.set(r, c - start, x.get(r, c));
-            }
+            v.row_mut(r).copy_from_slice(&x.row(r)[start..end]);
         }
         self.push(v, Op::SliceCols(a, start))
     }
@@ -325,194 +331,244 @@ impl Graph {
     /// Runs reverse-mode differentiation from scalar `loss`, adding
     /// parameter gradients into `params`.
     ///
+    /// Only nodes that a parameter reaches get a gradient: constant
+    /// inputs, and matmul operands among them, are skipped, so a loss
+    /// no parameter reaches leaves `params` untouched. Each node's
+    /// gradient is moved out when its turn comes, and operand gradients
+    /// are added in place. Every gradient element is the same sum, in
+    /// the same order, as a dense pass that zero-fills a gradient for
+    /// every node and adds each op's full-size contribution.
+    ///
     /// # Panics
     ///
     /// Panics if `loss` is not `1 × 1`.
-    pub fn backward(&mut self, loss: Var, params: &mut Params) {
+    pub fn backward(&self, loss: Var, params: &mut Params) {
         assert_eq!(self.values[loss.0].shape(), (1, 1), "loss must be scalar");
-        let mut grads: Vec<Tensor> = self
-            .values
-            .iter()
-            .map(|v| Tensor::zeros(v.rows(), v.cols()))
-            .collect();
-        grads[loss.0].set(0, 0, 1.0);
+        let mut grads = Grads {
+            graph: self,
+            slots: (0..self.values.len()).map(|_| None).collect(),
+        };
+        grads.give(loss, Tensor::full(1, 1, 1.0));
         for i in (0..self.ops.len()).rev() {
-            if grads[i].data().iter().all(|&x| x == 0.0) {
+            let Some(g) = grads.slots[i].take() else {
+                continue;
+            };
+            if g.data().iter().all(|&x| x == 0.0) {
                 continue;
             }
-            let g = grads[i].clone();
+            let y = &self.values[i];
             match &self.ops[i] {
                 Op::Leaf => {}
                 Op::Param(id) => params.accumulate_grad(*id, &g),
                 Op::MatMul(a, b) => {
-                    let da = g.matmul(&self.values[b.0].transpose());
-                    let db = self.values[a.0].transpose().matmul(&g);
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
+                    if self.needs_grad[a.0] {
+                        grads.give(*a, g.matmul(&self.values[b.0].transpose()));
+                    }
+                    if self.needs_grad[b.0] {
+                        grads.give(*b, self.values[a.0].t_matmul(&g));
+                    }
                 }
                 Op::Add(a, b) => {
-                    grads[a.0].add_assign(&g);
-                    grads[b.0].add_assign(&g);
+                    grads.give_ref(*a, &g);
+                    grads.give(*b, g);
                 }
                 Op::AddRow(a, row) => {
-                    grads[a.0].add_assign(&g);
-                    let mut dr = Tensor::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            dr.set(0, c, dr.get(0, c) + g.get(r, c));
+                    let dr = self.needs_grad[row.0].then(|| {
+                        let mut dr = Tensor::zeros(1, g.cols());
+                        for r in 0..g.rows() {
+                            add_slice(dr.data_mut(), g.row(r));
                         }
+                        dr
+                    });
+                    grads.give(*a, g);
+                    if let Some(dr) = dr {
+                        grads.give(*row, dr);
                     }
-                    grads[row.0].add_assign(&dr);
                 }
                 Op::Sub(a, b) => {
-                    grads[a.0].add_assign(&g);
-                    let neg = g.map(|x| -x);
-                    grads[b.0].add_assign(&neg);
+                    grads.give_ref(*a, &g);
+                    if let Some(d) = grads.slot(*b) {
+                        add_map(d, &g, |x| -x);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let da = elementwise(&g, &self.values[b.0], |x, y| x * y);
-                    let db = elementwise(&g, &self.values[a.0], |x, y| x * y);
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
+                    if let Some(d) = grads.slot(*a) {
+                        add_zip(d, &g, &self.values[b.0], |x, y| x * y);
+                    }
+                    if let Some(d) = grads.slot(*b) {
+                        add_zip(d, &g, &self.values[a.0], |x, y| x * y);
+                    }
                 }
                 Op::Scale(a, s) => {
-                    let da = g.map(|x| x * s);
-                    grads[a.0].add_assign(&da);
+                    if let Some(d) = grads.slot(*a) {
+                        add_map(d, &g, |x| x * s);
+                    }
                 }
-                Op::AddScalar(a, _) => grads[a.0].add_assign(&g),
+                Op::AddScalar(a, _) => grads.give(*a, g),
                 Op::Sigmoid(a) => {
-                    let da = elementwise(&g, &self.values[i], |gi, y| gi * y * (1.0 - y));
-                    grads[a.0].add_assign(&da);
+                    if let Some(d) = grads.slot(*a) {
+                        add_zip(d, &g, y, |gi, y| gi * y * (1.0 - y));
+                    }
                 }
                 Op::Tanh(a) => {
-                    let da = elementwise(&g, &self.values[i], |gi, y| gi * (1.0 - y * y));
-                    grads[a.0].add_assign(&da);
+                    if let Some(d) = grads.slot(*a) {
+                        add_zip(d, &g, y, |gi, y| gi * (1.0 - y * y));
+                    }
                 }
                 Op::Relu(a) => {
-                    let da = elementwise(
-                        &g,
-                        &self.values[a.0],
-                        |gi, x| {
-                            if x > 0.0 {
+                    if let Some(d) = grads.slot(*a) {
+                        add_zip(
+                            d,
+                            &g,
+                            &self.values[a.0],
+                            |gi, x| if x > 0.0 { gi } else { 0.0 },
+                        );
+                    }
+                }
+                Op::Exp(a) => {
+                    if let Some(d) = grads.slot(*a) {
+                        add_zip(d, &g, y, |gi, y| gi * y);
+                    }
+                }
+                Op::Softmax(a) => {
+                    if let Some(d) = grads.slot(*a) {
+                        for r in 0..y.rows() {
+                            let (gr, yr) = (g.row(r), y.row(r));
+                            let dot: f32 = gr.iter().zip(yr).map(|(gi, yi)| gi * yi).sum();
+                            for ((di, &gi), &yi) in d.row_mut(r).iter_mut().zip(gr).zip(yr) {
+                                *di += yi * (gi - dot);
+                            }
+                        }
+                    }
+                }
+                Op::LogSoftmax(a) => {
+                    // `y` holds log-probabilities.
+                    if let Some(d) = grads.slot(*a) {
+                        for r in 0..y.rows() {
+                            let (gr, yr) = (g.row(r), y.row(r));
+                            let gsum: f32 = gr.iter().copied().sum();
+                            for ((di, &gi), &yi) in d.row_mut(r).iter_mut().zip(gr).zip(yr) {
+                                *di += gi - yi.exp() * gsum;
+                            }
+                        }
+                    }
+                }
+                Op::GatherCols(a, cols) => {
+                    if let Some(d) = grads.slot(*a) {
+                        for (r, &c) in cols.iter().enumerate() {
+                            d.row_mut(r)[c] += g.get(r, 0);
+                        }
+                    }
+                }
+                Op::Sum(a) => {
+                    if let Some(d) = grads.slot(*a) {
+                        let gi = g.get(0, 0);
+                        d.data_mut().iter_mut().for_each(|x| *x += gi);
+                    }
+                }
+                Op::Mean(a) => {
+                    if let Some(d) = grads.slot(*a) {
+                        let gi = g.get(0, 0) / d.len() as f32;
+                        d.data_mut().iter_mut().for_each(|x| *x += gi);
+                    }
+                }
+                Op::Square(a) => {
+                    if let Some(d) = grads.slot(*a) {
+                        add_zip(d, &g, &self.values[a.0], |gi, x| gi * 2.0 * x);
+                    }
+                }
+                Op::Clamp(a, lo, hi) => {
+                    if let Some(d) = grads.slot(*a) {
+                        add_zip(d, &g, &self.values[a.0], |gi, x| {
+                            if x > *lo && x < *hi {
                                 gi
                             } else {
                                 0.0
                             }
-                        },
-                    );
-                    grads[a.0].add_assign(&da);
-                }
-                Op::Exp(a) => {
-                    let da = elementwise(&g, &self.values[i], |gi, y| gi * y);
-                    grads[a.0].add_assign(&da);
-                }
-                Op::Softmax(a) => {
-                    let y = &self.values[i];
-                    let mut da = Tensor::zeros(y.rows(), y.cols());
-                    for r in 0..y.rows() {
-                        let dot: f32 = (0..y.cols()).map(|c| g.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..y.cols() {
-                            da.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
-                        }
+                        });
                     }
-                    grads[a.0].add_assign(&da);
-                }
-                Op::LogSoftmax(a) => {
-                    let y = &self.values[i]; // log-probs
-                    let mut da = Tensor::zeros(y.rows(), y.cols());
-                    for r in 0..y.rows() {
-                        let gsum: f32 = (0..y.cols()).map(|c| g.get(r, c)).sum();
-                        for c in 0..y.cols() {
-                            da.set(r, c, g.get(r, c) - y.get(r, c).exp() * gsum);
-                        }
-                    }
-                    grads[a.0].add_assign(&da);
-                }
-                Op::GatherCols(a, cols) => {
-                    let mut da = Tensor::zeros(self.values[a.0].rows(), self.values[a.0].cols());
-                    for (r, &c) in cols.iter().enumerate() {
-                        da.set(r, c, g.get(r, 0));
-                    }
-                    grads[a.0].add_assign(&da);
-                }
-                Op::Sum(a) => {
-                    let da = Tensor::full(
-                        self.values[a.0].rows(),
-                        self.values[a.0].cols(),
-                        g.get(0, 0),
-                    );
-                    grads[a.0].add_assign(&da);
-                }
-                Op::Mean(a) => {
-                    let n = self.values[a.0].len() as f32;
-                    let da = Tensor::full(
-                        self.values[a.0].rows(),
-                        self.values[a.0].cols(),
-                        g.get(0, 0) / n,
-                    );
-                    grads[a.0].add_assign(&da);
-                }
-                Op::Square(a) => {
-                    let da = elementwise(&g, &self.values[a.0], |gi, x| gi * 2.0 * x);
-                    grads[a.0].add_assign(&da);
-                }
-                Op::Clamp(a, lo, hi) => {
-                    let da = elementwise(&g, &self.values[a.0], |gi, x| {
-                        if x > *lo && x < *hi {
-                            gi
-                        } else {
-                            0.0
-                        }
-                    });
-                    grads[a.0].add_assign(&da);
                 }
                 Op::Minimum(a, b) => {
-                    let xa = &self.values[a.0];
-                    let xb = &self.values[b.0];
-                    let mut da = Tensor::zeros(xa.rows(), xa.cols());
-                    let mut db = Tensor::zeros(xa.rows(), xa.cols());
-                    for r in 0..xa.rows() {
-                        for c in 0..xa.cols() {
-                            if xa.get(r, c) <= xb.get(r, c) {
-                                da.set(r, c, g.get(r, c));
-                            } else {
-                                db.set(r, c, g.get(r, c));
+                    let (xa, xb) = (self.values[a.0].data(), self.values[b.0].data());
+                    for (v, a_side) in [(*a, true), (*b, false)] {
+                        if let Some(d) = grads.slot(v) {
+                            let picked =
+                                d.data_mut().iter_mut().zip(g.data()).zip(xa.iter().zip(xb));
+                            for ((di, &gi), (x, y)) in picked {
+                                if (x <= y) == a_side {
+                                    *di += gi;
+                                }
                             }
                         }
                     }
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
                 }
                 Op::ConcatCols(a, b) => {
                     let ca = self.values[a.0].cols();
-                    let cb = self.values[b.0].cols();
-                    let mut da = Tensor::zeros(g.rows(), ca);
-                    let mut db = Tensor::zeros(g.rows(), cb);
-                    for r in 0..g.rows() {
-                        for c in 0..ca {
-                            da.set(r, c, g.get(r, c));
-                        }
-                        for c in 0..cb {
-                            db.set(r, c, g.get(r, ca + c));
+                    if let Some(d) = grads.slot(*a) {
+                        for r in 0..g.rows() {
+                            add_slice(d.row_mut(r), &g.row(r)[..ca]);
                         }
                     }
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
+                    if let Some(d) = grads.slot(*b) {
+                        for r in 0..g.rows() {
+                            add_slice(d.row_mut(r), &g.row(r)[ca..]);
+                        }
+                    }
                 }
-                Op::Transpose(a) => {
-                    let da = g.transpose();
-                    grads[a.0].add_assign(&da);
-                }
+                Op::Transpose(a) => grads.give(*a, g.transpose()),
                 Op::SliceCols(a, start) => {
-                    let mut da = Tensor::zeros(self.values[a.0].rows(), self.values[a.0].cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            da.set(r, start + c, g.get(r, c));
+                    if let Some(d) = grads.slot(*a) {
+                        for r in 0..g.rows() {
+                            add_slice(&mut d.row_mut(r)[*start..], g.row(r));
                         }
                     }
-                    grads[a.0].add_assign(&da);
                 }
             }
+        }
+    }
+}
+
+/// Gradient slots of one [`Graph::backward`] pass. Only nodes that a
+/// parameter reaches ever get a slot, and a slot stays `None` (zero)
+/// until its first contribution arrives.
+///
+/// Every slot holds a sum that starts at +0.0, so no slot ever holds
+/// -0.0. That is what lets [`give`](Self::give) move a tensor in as a
+/// first contribution without changing a bit: it takes only tensors
+/// that keep the property (matmul outputs, sums from +0.0, other
+/// nodes' gradients). Everything else is added in place into
+/// [`slot`](Self::slot).
+struct Grads<'g> {
+    graph: &'g Graph,
+    slots: Vec<Option<Tensor>>,
+}
+
+impl Grads<'_> {
+    /// `v`'s gradient, zero-filled on first use, or `None` when no
+    /// parameter reaches `v`.
+    fn slot(&mut self, v: Var) -> Option<&mut Tensor> {
+        if !self.graph.needs_grad[v.0] {
+            return None;
+        }
+        let (rows, cols) = self.graph.values[v.0].shape();
+        Some(self.slots[v.0].get_or_insert_with(|| Tensor::zeros(rows, cols)))
+    }
+
+    /// Adds `d` into `v`'s gradient; a first contribution is moved in.
+    fn give(&mut self, v: Var, d: Tensor) {
+        if !self.graph.needs_grad[v.0] {
+            return;
+        }
+        match &mut self.slots[v.0] {
+            Some(t) => t.add_assign(&d),
+            empty => *empty = Some(d),
+        }
+    }
+
+    /// [`give`](Self::give) for a gradient that is still needed.
+    fn give_ref(&mut self, v: Var, d: &Tensor) {
+        if let Some(t) = self.slot(v) {
+            t.add_assign(d);
         }
     }
 }
@@ -548,17 +604,41 @@ pub fn softmax_rows_into(x: &Tensor, out: &mut Tensor) {
     }
 }
 
-fn elementwise(g: &Tensor, x: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-    debug_assert_eq!(g.shape(), x.shape());
+/// `f(x, y)` element by element, for equal-shaped `x` and `y`.
+fn elementwise(x: &Tensor, y: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    debug_assert_eq!(x.shape(), y.shape());
     Tensor::from_vec(
-        g.rows(),
-        g.cols(),
-        g.data()
+        x.rows(),
+        x.cols(),
+        x.data()
             .iter()
-            .zip(x.data())
-            .map(|(&gi, &xi)| f(gi, xi))
+            .zip(y.data())
+            .map(|(&xi, &yi)| f(xi, yi))
             .collect(),
     )
+}
+
+/// `d += f(g, x)` element by element.
+fn add_zip(d: &mut Tensor, g: &Tensor, x: &Tensor, f: impl Fn(f32, f32) -> f32) {
+    debug_assert_eq!(g.shape(), x.shape());
+    for (di, (&gi, &xi)) in d.data_mut().iter_mut().zip(g.data().iter().zip(x.data())) {
+        *di += f(gi, xi);
+    }
+}
+
+/// `d[j] += g[j]` over the length of `g`.
+fn add_slice(d: &mut [f32], g: &[f32]) {
+    for (di, &gi) in d.iter_mut().zip(g) {
+        *di += gi;
+    }
+}
+
+/// `d += f(g)` element by element.
+fn add_map(d: &mut Tensor, g: &Tensor, f: impl Fn(f32) -> f32) {
+    debug_assert_eq!(d.shape(), g.shape());
+    for (di, &gi) in d.data_mut().iter_mut().zip(g.data()) {
+        *di += f(gi);
+    }
 }
 
 #[cfg(test)]
@@ -786,6 +866,20 @@ mod tests {
         g.backward(loss, &mut params);
         assert_eq!(params.grad(w).get(0, 0), 1.0);
         assert_eq!(params.grad(u).get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn backward_from_a_loss_no_parameter_reaches_is_a_no_op() {
+        let mut params = Params::new();
+        let w = params.add("w", Tensor::full(2, 3, 0.5));
+        let mut g = Graph::new();
+        let wv = g.param(&params, w);
+        let x = g.input(Tensor::from_rows(&[&[1.0, -2.0]]));
+        let _off_loss = g.matmul(x, wv);
+        let t = g.tanh(x);
+        let loss = g.sum(t);
+        g.backward(loss, &mut params);
+        assert!(params.grad(w).data().iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

@@ -133,22 +133,8 @@ pub fn load_params<R: Read>(r: R) -> Result<Params, LoadError> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| LoadError::Format(format!("tensor {name}: bad cols")))?;
-        let data_line = next()?;
-        let data: Vec<f32> = data_line
-            .split_whitespace()
-            .map(|s| {
-                s.parse::<f32>()
-                    .map_err(|e| LoadError::Format(format!("tensor {name}: bad value {s:?}: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if data.len() != rows * cols {
-            return Err(LoadError::Format(format!(
-                "tensor {name}: expected {} values, got {}",
-                rows * cols,
-                data.len()
-            )));
-        }
-        params.add(name, Tensor::from_vec(rows, cols, data));
+        let value = parse_tensor(rows, cols, &next()?, &format!("tensor {name}"))?;
+        params.add(name, value);
     }
     Ok(params)
 }
@@ -230,8 +216,10 @@ pub fn load_adam<R: Read>(r: R) -> Result<Adam, LoadError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| LoadError::Format("bad adam tensor count".into()))?;
-    let mut m = Vec::with_capacity(count);
-    let mut v = Vec::with_capacity(count);
+    // `count` comes from the file: grow with what is actually read
+    // rather than reserving it up front.
+    let mut m = Vec::new();
+    let mut v = Vec::new();
     for i in 0..count {
         let shape = next()?;
         let mut parts = shape.split_whitespace();
@@ -243,30 +231,45 @@ pub fn load_adam<R: Read>(r: R) -> Result<Adam, LoadError> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| LoadError::Format(format!("moment {i}: bad cols")))?;
-        let read_tensor = |what: &str, line: String| -> Result<Tensor, LoadError> {
-            let data: Vec<f32> = line
-                .split_whitespace()
-                .map(|s| {
-                    s.parse::<f32>().map_err(|e| {
-                        LoadError::Format(format!("moment {i} ({what}): bad value {s:?}: {e}"))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            if data.len() != rows * cols {
-                return Err(LoadError::Format(format!(
-                    "moment {i} ({what}): expected {} values, got {}",
-                    rows * cols,
-                    data.len()
-                )));
-            }
-            Ok(Tensor::from_vec(rows, cols, data))
-        };
-        let m_line = next()?;
-        m.push(read_tensor("m", m_line)?);
-        let v_line = next()?;
-        v.push(read_tensor("v", v_line)?);
+        m.push(parse_tensor(
+            rows,
+            cols,
+            &next()?,
+            &format!("moment {i} (m)"),
+        )?);
+        v.push(parse_tensor(
+            rows,
+            cols,
+            &next()?,
+            &format!("moment {i} (v)"),
+        )?);
     }
     Adam::from_state(lr, beta1, beta2, eps, t, m, v).map_err(LoadError::Format)
+}
+
+/// Parses one line of `rows × cols` space-separated values for the
+/// tensor named by `what`. The shape comes from the file, so its
+/// element count is checked arithmetic: a shape whose product
+/// overflows is a format error, never a panic or a tensor without
+/// data.
+fn parse_tensor(rows: usize, cols: usize, line: &str, what: &str) -> Result<Tensor, LoadError> {
+    let len = rows
+        .checked_mul(cols)
+        .ok_or_else(|| LoadError::Format(format!("{what}: shape {rows}x{cols} overflows")))?;
+    let data: Vec<f32> = line
+        .split_whitespace()
+        .map(|s| {
+            s.parse::<f32>()
+                .map_err(|e| LoadError::Format(format!("{what}: bad value {s:?}: {e}")))
+        })
+        .collect::<Result<_, _>>()?;
+    if data.len() != len {
+        return Err(LoadError::Format(format!(
+            "{what}: expected {len} values, got {}",
+            data.len()
+        )));
+    }
+    Ok(Tensor::from_vec(rows, cols, data))
 }
 
 #[cfg(test)]
@@ -357,6 +360,28 @@ mod tests {
         assert_eq!(m_a, m_b);
         assert_eq!(v_a, v_b);
         assert!(restored.matches(&params));
+    }
+
+    /// A shape whose element count overflows `usize` is a format error.
+    /// Unchecked, the product panics in debug builds and in release
+    /// wraps to 0, loading a 2³²×2³² tensor that holds no data.
+    #[test]
+    fn overflowing_tensor_shape_is_rejected() {
+        let text = "tsc-nn-params v1\n1\nw 4294967296 4294967296\n\n";
+        let err = load_params(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+        let adam = "tsc-nn-adam v1\n0.001 0.9 0.999 1e-8 0 1\n4294967296 4294967296\n\n\n";
+        let err = load_adam(adam.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    /// The Adam tensor count is read, not reserved: reserving `u64::MAX`
+    /// tensors aborts with a capacity overflow.
+    #[test]
+    fn huge_adam_tensor_count_is_rejected() {
+        let text = "tsc-nn-adam v1\n0.001 0.9 0.999 1e-8 0 18446744073709551615\n";
+        let err = load_adam(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("unexpected end of file"), "{err}");
     }
 
     #[test]

@@ -198,11 +198,17 @@ impl Tensor {
     }
 
     /// Matrix product `self @ other` written into a pre-sized `out`
-    /// (fully overwritten). This is the same kernel as
-    /// [`matmul`](Self::matmul) — identical loop structure and
-    /// accumulation order — so results are bit-identical; it only skips
-    /// the output allocation, which is what the tape-free inference
-    /// path reuses across steps.
+    /// (fully overwritten, never read). This is the one matmul kernel:
+    /// tape forwards, [`Graph::backward`](crate::Graph::backward) and
+    /// every tape-free `infer_into` run it.
+    ///
+    /// Contract: each output element is summed over ascending `k`,
+    /// starting at +0.0, with no term skipped. Rust never contracts
+    /// `a * b + c` to a fused multiply-add, so for finite inputs the
+    /// result is bit-identical to any loop with that order — including
+    /// one that skips zero terms, since adding ±0.0 never changes a sum
+    /// that starts at +0.0. A zero meeting an infinite or NaN operand
+    /// gives NaN.
     ///
     /// # Panics
     ///
@@ -210,20 +216,27 @@ impl Tensor {
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul inner dims");
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul_into out");
-        out.fill_zero();
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
+            let a_row = self.row(i).iter();
+            row_strips(a_row, &other.data, out.row_mut(i));
         }
+    }
+
+    /// `selfᵀ @ other` without building the transpose: the same kernel
+    /// and summation order as `self.transpose().matmul(other)`, reading
+    /// `self` column by column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts differ.
+    pub(crate) fn t_matmul(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.rows, other.rows, "t_matmul inner dims");
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        for i in 0..self.cols {
+            let a_col = self.data.iter().skip(i).step_by(self.cols);
+            row_strips(a_col, &other.data, out.row_mut(i));
+        }
+        out
     }
 
     /// Transpose.
@@ -279,6 +292,52 @@ impl Tensor {
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
+}
+
+/// One output row of a matmul: `out[j] = Σ_k a_k · b[k][j]` over the
+/// `k` values `a` yields, for row-major `b` with `out.len()` columns.
+/// Columns go in strips of 32, 8, 4 and 1 so that each strip's partial
+/// sums stay in registers for the whole ascending-`k` loop.
+fn row_strips<'a>(a: impl Iterator<Item = &'a f32> + Clone, b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    let mut j = 0;
+    while j + 32 <= n {
+        strip::<32>(a.clone(), b, j, out);
+        j += 32;
+    }
+    while j + 8 <= n {
+        strip::<8>(a.clone(), b, j, out);
+        j += 8;
+    }
+    while j + 4 <= n {
+        strip::<4>(a.clone(), b, j, out);
+        j += 4;
+    }
+    while j < n {
+        strip::<1>(a.clone(), b, j, out);
+        j += 1;
+    }
+}
+
+/// Columns `j..j + W` of one output row (see [`row_strips`]).
+#[inline(always)]
+fn strip<'a, const W: usize>(
+    a: impl Iterator<Item = &'a f32>,
+    b: &[f32],
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [0.0f32; W];
+    for (&av, b_row) in a.zip(b.chunks_exact(out.len())) {
+        let b_strip: &[f32; W] = b_row[j..j + W].try_into().expect("strip width");
+        for (s, &bv) in acc.iter_mut().zip(b_strip) {
+            *s += av * bv;
+        }
+    }
+    out[j..j + W].copy_from_slice(&acc);
 }
 
 impl fmt::Display for Tensor {
@@ -352,16 +411,83 @@ mod tests {
         assert!(!Tensor::zeros(1, 1).to_string().is_empty());
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A ReLU-like `rows × cols` tensor: about half its entries are
+    /// zeros of either sign.
+    fn zero_heavy(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
+        Tensor::randn(rows, cols, 1.0, rng).map(|x| match x {
+            x if x > 0.0 => x,
+            x if x > -0.5 => 0.0,
+            _ => -0.0,
+        })
+    }
+
+    /// The kernel contract, spelled out: each element summed over
+    /// ascending `k` from +0.0 with no term skipped.
+    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut sum = 0.0f32;
+                for k in 0..a.cols() {
+                    sum += a.get(i, k) * b.get(k, j);
+                }
+                out.set(i, j, sum);
+            }
+        }
+        out
+    }
+
+    /// Every strip width (32, 8, 4, 1) and their remainders, from one
+    /// row to a full minibatch, into a dirty output buffer.
     #[test]
-    fn matmul_into_is_bit_identical_to_matmul() {
+    fn matmul_into_matches_naive_ascending_k_reference() {
         let mut rng = StdRng::seed_from_u64(11);
-        let a = Tensor::randn(5, 7, 1.0, &mut rng);
-        let b = Tensor::randn(7, 4, 1.0, &mut rng);
-        let fresh = a.matmul(&b);
-        // Reused, dirty output buffer: must be fully overwritten.
-        let mut out = Tensor::full(5, 4, f32::NAN);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out, fresh);
+        for rows in [1, 4, 9, 36, 256] {
+            for cols in [1, 3, 4, 5, 8, 9, 16, 31, 32, 33, 128] {
+                let inner = 1 + (rows + cols) % 40;
+                let a = zero_heavy(rows, inner, &mut rng);
+                let b = Tensor::randn(inner, cols, 1.0, &mut rng);
+                let mut out = Tensor::full(rows, cols, f32::NAN);
+                a.matmul_into(&b, &mut out);
+                let shape = format!("{rows}x{inner} @ {inner}x{cols}");
+                assert_eq!(bits(&out), bits(&naive_matmul(&a, &b)), "{shape}");
+                assert_eq!(bits(&a.matmul(&b)), bits(&out), "{shape}");
+            }
+        }
+    }
+
+    /// No zero skip: a zero meeting a non-finite operand is NaN.
+    #[test]
+    fn matmul_zero_times_infinity_is_nan() {
+        let a = Tensor::from_rows(&[&[0.0, 1.0]]);
+        let b = Tensor::from_rows(&[&[f32::INFINITY], &[2.0]]);
+        assert!(a.matmul(&b).get(0, 0).is_nan());
+    }
+
+    #[test]
+    fn t_matmul_matches_explicit_transpose() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for (rows, a_cols, g_cols) in [
+            (0, 3, 2),
+            (1, 1, 1),
+            (4, 3, 33),
+            (9, 48, 5),
+            (256, 33, 32),
+            (256, 32, 128),
+        ] {
+            let a = zero_heavy(rows, a_cols, &mut rng);
+            let g = Tensor::randn(rows, g_cols, 1.0, &mut rng);
+            let expected = a.transpose().matmul(&g);
+            assert_eq!(
+                bits(&a.t_matmul(&g)),
+                bits(&expected),
+                "{rows}x{a_cols}, {g_cols}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Pre-PR gate: formatting, lints with warnings denied, release build,
-# the tier-1 test suite, smoke runs of the bench bins that hold gates
-# of their own, and perfbench's tests. Serving, chaos and fleet
-# behaviour is pinned by tier-1 tests, not by bin smokes. Run from
-# anywhere inside the repo.
+# the tier-1 test suite, release runs of the bit-identity pins, smoke
+# runs of the bench bins that hold gates of their own, and perfbench's
+# tests. Serving, chaos and fleet behaviour is pinned by tier-1 tests,
+# not by bin smokes. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,10 @@ cargo test --workspace -q
 echo "==> parity smoke (event core vs legacy oracle, all flow patterns)"
 cargo test --release -q -p tsc-sim --test parity
 cargo test --release -q -p tsc-sim --test golden
+
+echo "==> matmul kernel tests and the golden training pin in release (perfbench measures release code; tier 1 runs debug)"
+cargo test --release -q -p tsc-nn --lib
+cargo test --release -q -p pairuplight --lib
 
 echo "==> loadgen --smoke (admission: no abort, overload replay digest, zero degraded steps under infra chaos, pinned p99)"
 cargo run --release -q -p tsc-bench --bin loadgen -- --smoke
