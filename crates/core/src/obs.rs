@@ -360,7 +360,7 @@ impl ObsHealth {
                     .as_ref()
                     .is_some_and(|p| values_equal(p, reading) && !values_zero(reading));
                 slot.frozen_run = if repeats { slot.frozen_run + 1 } else { 1 };
-                slot.prev = Some(reading.clone());
+                slot.prev = Some(*reading);
                 let frozen = slot.frozen_run >= self.cfg.stuck_steps;
 
                 let collapsed = values_zero(reading)
@@ -384,7 +384,7 @@ impl ObsHealth {
                     if frozen {
                         suspect = true;
                     } else {
-                        slot.good = Some(reading.clone());
+                        slot.good = Some(*reading);
                     }
                 }
             }
@@ -479,7 +479,7 @@ mod tests {
 
     mod health {
         use super::super::*;
-        use tsc_sim::{Direction, LinkId, NodeId};
+        use tsc_sim::{Approaches, Direction, LinkId, NodeId};
 
         fn link(halting: f64, head_wait: f64) -> LinkObs {
             LinkObs {
@@ -492,13 +492,13 @@ mod tests {
             }
         }
 
-        fn snapshot(incoming: Vec<LinkObs>, time: u32) -> IntersectionObs {
+        fn snapshot(incoming: LinkObs, time: u32) -> IntersectionObs {
             IntersectionObs {
                 node: NodeId(0),
                 time,
-                incoming,
-                outgoing_counts: vec![0.0],
-                outgoing_links: vec![LinkId(1)],
+                incoming: Approaches::from([incoming]),
+                outgoing_counts: Approaches::from([0.0]),
+                outgoing_links: Approaches::from([LinkId(1)]),
                 current_phase: 0,
                 num_phases: 4,
             }
@@ -508,7 +508,7 @@ mod tests {
         fn healthy_trace_is_untouched_and_streak_free() {
             let mut h = ObsHealth::new(1, HealthConfig::default());
             for t in 0..20 {
-                let raw = snapshot(vec![link(t as f64 % 7.0, t as f64)], t);
+                let raw = snapshot(link(t as f64 % 7.0, t as f64), t);
                 let mut filtered = vec![raw.clone()];
                 h.filter(&mut filtered);
                 assert_eq!(filtered[0], raw, "identity on clean input");
@@ -520,22 +520,22 @@ mod tests {
         fn zero_collapse_is_imputed_then_released() {
             let cfg = HealthConfig::default();
             let mut h = ObsHealth::new(1, cfg);
-            let mut warm = vec![snapshot(vec![link(6.0, 30.0)], 0)];
+            let mut warm = vec![snapshot(link(6.0, 30.0), 0)];
             h.filter(&mut warm);
             // Detector dies: all-zero readings from a busy approach.
             for k in 0..cfg.hold_steps {
-                let mut dead = vec![snapshot(vec![link(0.0, 0.0)], 1 + k)];
+                let mut dead = vec![snapshot(link(0.0, 0.0), 1 + k)];
                 h.filter(&mut dead);
                 assert_eq!(dead[0].incoming[0].halting, 6.0, "imputed step {k}");
                 assert_eq!(h.suspect_streaks(), &[k + 1]);
             }
             // Hold budget exhausted: zeros pass through, still suspect.
-            let mut dead = vec![snapshot(vec![link(0.0, 0.0)], 10)];
+            let mut dead = vec![snapshot(link(0.0, 0.0), 10)];
             h.filter(&mut dead);
             assert_eq!(dead[0].incoming[0].halting, 0.0);
             assert_eq!(h.suspect_streaks(), &[cfg.hold_steps + 1]);
             // Detector recovers: streak resets.
-            let mut back = vec![snapshot(vec![link(5.0, 20.0)], 11)];
+            let mut back = vec![snapshot(link(5.0, 20.0), 11)];
             h.filter(&mut back);
             assert_eq!(h.suspect_streaks(), &[0]);
         }
@@ -543,9 +543,9 @@ mod tests {
         #[test]
         fn quiet_approach_zeros_are_genuine() {
             let mut h = ObsHealth::new(1, HealthConfig::default());
-            let mut warm = vec![snapshot(vec![link(2.0, 5.0)], 0)];
+            let mut warm = vec![snapshot(link(2.0, 5.0), 0)];
             h.filter(&mut warm);
-            let mut calm = vec![snapshot(vec![link(0.0, 0.0)], 1)];
+            let mut calm = vec![snapshot(link(0.0, 0.0), 1)];
             h.filter(&mut calm);
             assert_eq!(calm[0].incoming[0].halting, 0.0, "below suspect_drop");
             assert_eq!(h.suspect_streaks(), &[0]);
@@ -556,7 +556,7 @@ mod tests {
             let cfg = HealthConfig::default();
             let mut h = ObsHealth::new(1, cfg);
             for t in 0..cfg.stuck_steps + 3 {
-                let mut frozen = vec![snapshot(vec![link(3.0, 17.0)], t)];
+                let mut frozen = vec![snapshot(link(3.0, 17.0), t)];
                 h.filter(&mut frozen);
                 assert_eq!(frozen[0].incoming[0].halting, 3.0, "passed through");
                 if t + 1 >= cfg.stuck_steps {
@@ -566,7 +566,7 @@ mod tests {
                 }
             }
             // A changing reading clears the run.
-            let mut moving = vec![snapshot(vec![link(3.0, 18.0)], 99)];
+            let mut moving = vec![snapshot(link(3.0, 18.0), 99)];
             h.filter(&mut moving);
             assert_eq!(h.suspect_streaks(), &[0]);
         }
@@ -574,10 +574,10 @@ mod tests {
         #[test]
         fn reset_forgets_history() {
             let mut h = ObsHealth::new(1, HealthConfig::default());
-            let mut warm = vec![snapshot(vec![link(9.0, 40.0)], 0)];
+            let mut warm = vec![snapshot(link(9.0, 40.0), 0)];
             h.filter(&mut warm);
             h.reset();
-            let mut dead = vec![snapshot(vec![link(0.0, 0.0)], 1)];
+            let mut dead = vec![snapshot(link(0.0, 0.0), 1)];
             h.filter(&mut dead);
             assert_eq!(dead[0].incoming[0].halting, 0.0, "no good reading kept");
             assert_eq!(h.suspect_streaks(), &[0]);

@@ -103,7 +103,7 @@ mod tests {
     use super::*;
     use crate::obs::{ObsEncoder, ObsNorm};
     use tsc_sim::scenario::grid::{Grid, GridConfig};
-    use tsc_sim::{Direction, LinkId, LinkObs};
+    use tsc_sim::{Approaches, Direction, LinkId, LinkObs};
 
     fn setup() -> (Grid, Vec<NodeId>, ObsEncoder, PairingTable) {
         let grid = Grid::build(GridConfig {
@@ -122,9 +122,9 @@ mod tests {
         IntersectionObs {
             node,
             time: 0,
-            incoming: vec![],
-            outgoing_counts: vec![],
-            outgoing_links: vec![],
+            incoming: Approaches::new(),
+            outgoing_counts: Approaches::new(),
+            outgoing_links: Approaches::new(),
             current_phase: 0,
             num_phases: 4,
         }
@@ -134,16 +134,16 @@ mod tests {
         IntersectionObs {
             node,
             time: 0,
-            incoming: vec![LinkObs {
+            incoming: Approaches::from([LinkObs {
                 link: LinkId(0),
                 direction: Direction::East,
                 count: halting,
                 halting,
                 halting_by_movement: [0.0, halting, 0.0],
                 head_wait: 30.0,
-            }],
-            outgoing_counts: vec![0.0],
-            outgoing_links: vec![LinkId(1)],
+            }]),
+            outgoing_counts: Approaches::from([0.0]),
+            outgoing_links: Approaches::from([LinkId(1)]),
             current_phase: 0,
             num_phases: 4,
         }

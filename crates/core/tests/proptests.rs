@@ -9,7 +9,9 @@ use pairuplight::message::{bits_per_step, regularize};
 use pairuplight::{FaultPlan, ObsEncoder, ObsNorm, PairUpLight, PairUpLightConfig, PairingTable};
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{self, FlowPattern, PatternConfig};
-use tsc_sim::{Direction, EnvConfig, IntersectionObs, LinkId, LinkObs, NodeId, SimConfig, TscEnv};
+use tsc_sim::{
+    Approaches, Direction, EnvConfig, IntersectionObs, LinkId, LinkObs, NodeId, SimConfig, TscEnv,
+};
 
 fn grid_setup(cols: usize, rows: usize) -> (Grid, Vec<NodeId>, ObsEncoder, PairingTable) {
     let grid = Grid::build(GridConfig {
@@ -31,16 +33,16 @@ fn arbitrary_obs(node: NodeId, halting: f64, wait: f64, phase: usize) -> Interse
     IntersectionObs {
         node,
         time: 0,
-        incoming: vec![LinkObs {
+        incoming: Approaches::from([LinkObs {
             link: LinkId(0),
             direction: Direction::East,
             count: halting + 1.0,
             halting,
             halting_by_movement: [left, through, right],
             head_wait: wait,
-        }],
-        outgoing_counts: vec![0.5],
-        outgoing_links: vec![LinkId(1)],
+        }]),
+        outgoing_counts: Approaches::from([0.5]),
+        outgoing_links: Approaches::from([LinkId(1)]),
         current_phase: phase % 4,
         num_phases: 4,
     }

@@ -121,13 +121,13 @@ impl Controller for ActuatedController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsc_sim::{Direction, LinkId, LinkObs, NodeId};
+    use tsc_sim::{Approaches, Direction, LinkId, LinkObs, NodeId};
 
     fn obs_with(ns_halt: f64, ew_halt: f64, phase: usize) -> IntersectionObs {
         IntersectionObs {
             node: NodeId(0),
             time: 0,
-            incoming: vec![
+            incoming: Approaches::from([
                 LinkObs {
                     link: LinkId(0),
                     direction: Direction::South,
@@ -144,9 +144,9 @@ mod tests {
                     halting_by_movement: [0.0, ew_halt, 0.0],
                     head_wait: 0.0,
                 },
-            ],
-            outgoing_counts: vec![],
-            outgoing_links: vec![],
+            ]),
+            outgoing_counts: Approaches::new(),
+            outgoing_links: Approaches::new(),
             current_phase: phase,
             num_phases: 4,
         }

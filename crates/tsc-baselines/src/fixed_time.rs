@@ -56,15 +56,15 @@ impl Controller for FixedTimeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsc_sim::NodeId;
+    use tsc_sim::{Approaches, NodeId};
 
     fn obs(num_phases: usize) -> IntersectionObs {
         IntersectionObs {
             node: NodeId(0),
             time: 0,
-            incoming: vec![],
-            outgoing_counts: vec![],
-            outgoing_links: vec![],
+            incoming: Approaches::new(),
+            outgoing_counts: Approaches::new(),
+            outgoing_links: Approaches::new(),
             current_phase: 0,
             num_phases,
         }

@@ -113,13 +113,13 @@ impl Controller for MaxPressureController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsc_sim::{Direction, LinkId, LinkObs, NodeId};
+    use tsc_sim::{Approaches, Direction, LinkId, LinkObs, NodeId};
 
     fn obs(ns_through: f64, ns_left: f64, ew_through: f64, ew_left: f64) -> IntersectionObs {
         IntersectionObs {
             node: NodeId(0),
             time: 0,
-            incoming: vec![
+            incoming: Approaches::from([
                 LinkObs {
                     link: LinkId(0),
                     direction: Direction::South,
@@ -136,9 +136,9 @@ mod tests {
                     halting_by_movement: [ew_left, ew_through, 0.0],
                     head_wait: 0.0,
                 },
-            ],
-            outgoing_counts: vec![0.0],
-            outgoing_links: vec![LinkId(2)],
+            ]),
+            outgoing_counts: Approaches::from([0.0]),
+            outgoing_links: Approaches::from([LinkId(2)]),
             current_phase: 0,
             num_phases: 4,
         }

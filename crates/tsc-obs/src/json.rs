@@ -9,6 +9,12 @@
 
 use std::fmt;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the bound keeps hostile input
+/// (say, a line of a million `[`) from overflowing the stack; every
+/// document the workspace writes nests well under ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Build with the constructors, render with
 /// [`Json::pretty`] (reports) or [`Json::compact`] (JSONL records),
 /// read back with [`Json::parse`].
@@ -157,10 +163,16 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] locating the first offending byte.
+    /// Returns a [`ParseError`] locating the first offending byte,
+    /// including the bracket that opens a level deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -219,6 +231,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -259,8 +273,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -463,6 +488,37 @@ mod tests {
             "torn record must not parse"
         );
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let at_limit = Json::parse(&nested(MAX_DEPTH)).expect("the limit itself parses");
+        let mut levels = 0;
+        let mut v = &at_limit;
+        while let Json::Arr(items) = v {
+            levels += 1;
+            match items.first() {
+                Some(inner) => v = inner,
+                None => break,
+            }
+        }
+        assert_eq!(levels, MAX_DEPTH);
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "points at the first bracket too deep"
+        );
+        let deep_obj = format!(
+            "{}1{}",
+            r#"{"k":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&deep_obj).is_err());
+        // Unbounded recursion would overflow the stack and abort the
+        // whole process here rather than fail this test.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -232,6 +232,38 @@ mod tests {
     }
 
     #[test]
+    fn oversized_topology_built_in_code_is_rejected() {
+        for topology in [
+            TopologySpec::City {
+                cols: 100_000,
+                rows: 100_000,
+                spacing: 200.0,
+                edge_removal: 0.1,
+                two_lane_frac: 0.4,
+                jitter: 0.1,
+            },
+            TopologySpec::Grid {
+                cols: usize::MAX,
+                rows: usize::MAX,
+                spacing: 200.0,
+            },
+            TopologySpec::Corridor {
+                length: crate::spec::MAX_INTERSECTIONS + 1,
+                spacing: 200.0,
+            },
+        ] {
+            let spec = ScenarioSpec {
+                topology,
+                ..small_spec()
+            };
+            match compile(&spec) {
+                Err(SimError::InvalidConfig(m)) => assert!(m.contains("at most"), "{m}"),
+                other => panic!("{topology:?}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn incident_link_out_of_range_is_rejected() {
         let mut spec = small_spec();
         spec.incidents = vec![IncidentSpec {

@@ -20,6 +20,12 @@ use tsc_sim::SimError;
 /// Header line of the spec text format.
 pub const SPEC_HEADER: &str = "tsc-scenario spec v1";
 
+/// Most signalized intersections one topology may generate. Generators
+/// size their node tables from the spec, so an unbounded spec would
+/// abort on a failed allocation instead of failing with an error; the
+/// bound sits far above `city_spec(3000, _)`'s 3,025.
+pub const MAX_INTERSECTIONS: usize = 1 << 16;
+
 /// A complete declarative scenario description.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ScenarioSpec {
@@ -96,6 +102,39 @@ impl TopologySpec {
             TopologySpec::City { .. } => "city",
             TopologySpec::Corridor { .. } => "corridor",
             TopologySpec::Ring { .. } => "ring",
+        }
+    }
+
+    /// Signalized intersections this topology generates, or `None` when
+    /// the count overflows `usize`.
+    fn intersections(&self) -> Option<usize> {
+        match *self {
+            TopologySpec::Grid { cols, rows, .. } | TopologySpec::City { cols, rows, .. } => {
+                cols.checked_mul(rows)
+            }
+            TopologySpec::Corridor { length, .. } => Some(length),
+            // The lattice perimeter: 2 * (cols + rows) - 4 nodes.
+            TopologySpec::Ring { cols, rows, .. } => cols
+                .checked_add(rows)?
+                .checked_mul(2)
+                .map(|n| n.saturating_sub(4)),
+        }
+    }
+
+    /// Checks the topology against [`MAX_INTERSECTIONS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] when the topology would
+    /// generate more intersections than that, or a count that overflows.
+    pub(crate) fn check_size(&self) -> Result<(), SimError> {
+        match self.intersections() {
+            Some(n) if n <= MAX_INTERSECTIONS => Ok(()),
+            n => Err(SimError::InvalidConfig(format!(
+                "{} topology generates {} intersections; at most {MAX_INTERSECTIONS} are supported",
+                self.kind(),
+                n.map_or_else(|| "more than usize::MAX".to_string(), |n| n.to_string())
+            ))),
         }
     }
 }
@@ -409,7 +448,9 @@ impl ScenarioSpec {
                 "topology" => {
                     let (kind, fields) = split_kind(rest);
                     let map = parse_fields(fields).map_err(|m| err(&m))?;
-                    topology = Some(parse_topology(kind, &map).map_err(|m| err(&m))?);
+                    let parsed = parse_topology(kind, &map).map_err(|m| err(&m))?;
+                    parsed.check_size().map_err(|e| err(&e.to_string()))?;
+                    topology = Some(parsed);
                 }
                 "demand" => {
                     let (kind, fields) = split_kind(rest);
@@ -668,6 +709,31 @@ mod tests {
         assert!(ScenarioSpec::from_text("not a spec").is_err());
         let unknown = format!("{SPEC_HEADER}\nfrobnicate 3\n");
         assert!(ScenarioSpec::from_text(&unknown).is_err());
+    }
+
+    #[test]
+    fn oversized_topologies_are_rejected_at_parse_time() {
+        let max = usize::MAX;
+        for topology in [
+            "city cols=100000 rows=100000 spacing=200 edge_removal=0.1 two_lane_frac=0.4 \
+             jitter=0.1"
+                .to_string(),
+            format!("grid cols={max} rows=2 spacing=200"),
+            format!("grid cols={max} rows={max} spacing=200"),
+            format!("corridor length={} spacing=200", MAX_INTERSECTIONS + 1),
+            format!("ring cols={max} rows=3 spacing=200"),
+            "ring cols=40000 rows=3 spacing=200".to_string(),
+        ] {
+            let text = format!("{SPEC_HEADER}\ntopology {topology}\n");
+            let err = ScenarioSpec::from_text(&text).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig(m) if m.contains("line 2")),
+                "{topology}: {err}"
+            );
+        }
+        // The bound itself is allowed.
+        let text = format!("{SPEC_HEADER}\ntopology grid cols=256 rows=256 spacing=200\n");
+        assert!(ScenarioSpec::from_text(&text).is_ok());
     }
 
     #[test]

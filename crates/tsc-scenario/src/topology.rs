@@ -53,8 +53,11 @@ impl World {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidConfig`] for degenerate parameters.
+/// Returns [`SimError::InvalidConfig`] for degenerate parameters and
+/// for topologies beyond [`MAX_INTERSECTIONS`](crate::spec::MAX_INTERSECTIONS)
+/// (checked here too, since specs built in code skip the parser).
 pub fn build(spec: &TopologySpec, rng: &mut StdRng) -> Result<World, SimError> {
+    spec.check_size()?;
     match *spec {
         TopologySpec::Grid {
             cols,

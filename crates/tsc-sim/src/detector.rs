@@ -7,6 +7,9 @@
 //! queue lengths. This module defines the detector configuration and the
 //! per-intersection observation snapshot the simulator produces.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
 use crate::ids::{Direction, LinkId, NodeId};
 
 /// Detector configuration shared by all intersections.
@@ -58,8 +61,107 @@ pub(crate) fn degradation_uniform(seed: u64, time: u32, entity: usize) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Sensor reading for one link as seen from an intersection.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Most incoming (and most outgoing) links one node may have: one per
+/// compass direction. [`NetworkBuilder::build`] rejects a node of higher
+/// degree, so every observation fits in [`Approaches`].
+///
+/// [`NetworkBuilder::build`]: crate::network::NetworkBuilder::build
+pub const MAX_APPROACHES: usize = 4;
+
+/// A list of at most [`MAX_APPROACHES`] per-approach values stored
+/// inline, so an [`IntersectionObs`] needs no heap allocation of its
+/// own. It derefs to the slice of its live prefix; equality and `Debug`
+/// see only that prefix (`Debug` prints it like a `Vec`).
+///
+/// # Examples
+///
+/// ```
+/// use tsc_sim::Approaches;
+/// let counts = Approaches::from([1.0, 2.0]);
+/// assert_eq!(counts.len(), 2);
+/// assert_eq!(counts.iter().sum::<f64>(), 3.0);
+/// assert_eq!(format!("{counts:?}"), "[1.0, 2.0]");
+/// ```
+#[derive(Clone, Copy, serde::Serialize, serde::Deserialize)]
+pub struct Approaches<T> {
+    items: [T; MAX_APPROACHES],
+    len: u8,
+}
+
+impl<T: Copy + Default> Approaches<T> {
+    /// An empty list.
+    pub fn new() -> Self {
+        Approaches {
+            items: [T::default(); MAX_APPROACHES],
+            len: 0,
+        }
+    }
+
+    /// Appends `value`. Callers only push one value per link of one
+    /// node, which [`MAX_APPROACHES`] bounds.
+    pub(crate) fn push(&mut self, value: T) {
+        self.items[usize::from(self.len)] = value;
+        self.len += 1;
+    }
+}
+
+impl<T: Copy + Default> Default for Approaches<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> From<[T; N]> for Approaches<T> {
+    /// Builds the list from an array of at most [`MAX_APPROACHES`]
+    /// values (a longer array fails to compile).
+    fn from(values: [T; N]) -> Self {
+        const { assert!(N <= MAX_APPROACHES, "more values than approaches") };
+        let mut list = Self::new();
+        list.items[..N].copy_from_slice(&values);
+        list.len = N as u8;
+        list
+    }
+}
+
+impl<T> Deref for Approaches<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<T> DerefMut for Approaches<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..usize::from(self.len)]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Approaches<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Approaches<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Approaches<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Sensor reading for one link as seen from an intersection. The
+/// `Default` value (a zero reading of link 0) only fills the unused
+/// slots of [`Approaches`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LinkObs {
     /// The observed link.
     pub link: LinkId,
@@ -88,12 +190,12 @@ pub struct IntersectionObs {
     /// Simulation time of the snapshot (s).
     pub time: u32,
     /// Readings for incoming links, ordered by approach direction index.
-    pub incoming: Vec<LinkObs>,
+    pub incoming: Approaches<LinkObs>,
     /// Vehicle counts near the upstream end of outgoing links, ordered
     /// by direction index (parallel to `outgoing_links`).
-    pub outgoing_counts: Vec<f64>,
+    pub outgoing_counts: Approaches<f64>,
     /// The outgoing links (parallel to `outgoing_counts`).
-    pub outgoing_links: Vec<LinkId>,
+    pub outgoing_links: Approaches<LinkId>,
     /// Index of the active (or upcoming, during yellow) phase.
     pub current_phase: usize,
     /// Number of phases in this intersection's plan.
@@ -139,7 +241,7 @@ mod tests {
         IntersectionObs {
             node: NodeId(0),
             time: 10,
-            incoming: vec![
+            incoming: Approaches::from([
                 LinkObs {
                     link: LinkId(0),
                     direction: Direction::South,
@@ -156,9 +258,9 @@ mod tests {
                     halting_by_movement: [0.0, 0.0, 0.0],
                     head_wait: 5.0,
                 },
-            ],
-            outgoing_counts: vec![1.0, 2.0],
-            outgoing_links: vec![LinkId(2), LinkId(3)],
+            ]),
+            outgoing_counts: Approaches::from([1.0, 2.0]),
+            outgoing_links: Approaches::from([LinkId(2), LinkId(3)]),
             current_phase: 1,
             num_phases: 4,
         }
@@ -182,13 +284,31 @@ mod tests {
         let o = IntersectionObs {
             node: NodeId(0),
             time: 0,
-            incoming: vec![],
-            outgoing_counts: vec![],
-            outgoing_links: vec![],
+            incoming: Approaches::new(),
+            outgoing_counts: Approaches::new(),
+            outgoing_links: Approaches::new(),
             current_phase: 0,
             num_phases: 4,
         };
         assert_eq!(o.reward(), 0.0);
         assert_eq!(o.pressure(), 0.0);
+    }
+
+    #[test]
+    fn approaches_compare_and_print_only_the_live_prefix() {
+        let mut a = Approaches::from([1.0, 2.0]);
+        let mut b = Approaches::<f64>::new();
+        b.push(1.0);
+        assert_ne!(a, b);
+        b.push(2.0);
+        assert_eq!(a, b);
+        a[1] = 5.0;
+        assert_eq!(&a[..], &[1.0, 5.0]);
+        assert_eq!(format!("{b:?}"), format!("{:?}", vec![1.0, 2.0]));
+        assert_eq!(
+            Approaches::from([7.0; MAX_APPROACHES]).len(),
+            MAX_APPROACHES
+        );
+        assert_eq!(Approaches::<f64>::new(), Approaches::from([]));
     }
 }

@@ -259,11 +259,7 @@ impl EventState {
             lane_link.extend(std::iter::repeat_n(l.id().index() as u32, l.num_lanes()));
             link_to.push(l.to());
             link_len.push(l.length());
-            link_signal.push(
-                sim.signal_index
-                    .get(&l.to())
-                    .map_or(NO_SIGNAL, |&i| i as u32),
-            );
+            link_signal.push(sim.signal_slot(l.to()).map_or(NO_SIGNAL, |i| i as u32));
         }
         let num_lanes = lane_link.len();
         let mut sig_lanes = vec![Vec::new(); sim.signals.len()];

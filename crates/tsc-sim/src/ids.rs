@@ -44,7 +44,17 @@ impl fmt::Display for NodeId {
 /// assert_eq!(l.index(), 7);
 /// ```
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+    Debug,
+    Clone,
+    Copy,
+    Default,
+    PartialEq,
+    Eq,
+    PartialOrd,
+    Ord,
+    Hash,
+    serde::Serialize,
+    serde::Deserialize,
 )]
 pub struct LinkId(pub usize);
 
@@ -101,10 +111,21 @@ impl fmt::Display for VehicleId {
 /// assert_eq!(Direction::East.right_of(), Direction::South);
 /// ```
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+    Debug,
+    Clone,
+    Copy,
+    Default,
+    PartialEq,
+    Eq,
+    PartialOrd,
+    Ord,
+    Hash,
+    serde::Serialize,
+    serde::Deserialize,
 )]
 pub enum Direction {
     /// Travelling towards increasing `y`.
+    #[default]
     North,
     /// Travelling towards increasing `x`.
     East,

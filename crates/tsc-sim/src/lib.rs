@@ -62,7 +62,7 @@ pub use chaos::{
     SensingFault, SensingKind, Window,
 };
 pub use demand::{ArrivalModel, FlowProfile, OdFlow};
-pub use detector::{DetectorConfig, IntersectionObs, LinkObs};
+pub use detector::{Approaches, DetectorConfig, IntersectionObs, LinkObs, MAX_APPROACHES};
 pub use env::{Controller, EnvConfig, EnvStep, EpisodeStats, TscEnv};
 pub use error::SimError;
 pub use ids::{Direction, LinkId, NodeId, VehicleId};

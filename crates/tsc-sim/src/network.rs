@@ -9,8 +9,7 @@
 //! is how shared through/right (or fully shared single-lane) approaches —
 //! and the resulting head-of-line blocking — are modelled.
 
-use std::collections::HashMap;
-
+use crate::detector::MAX_APPROACHES;
 use crate::error::SimError;
 use crate::ids::{Direction, LinkId, NodeId};
 
@@ -198,8 +197,9 @@ pub struct Network {
     links: Vec<Link>,
     incoming: Vec<Vec<LinkId>>,
     outgoing: Vec<Vec<LinkId>>,
-    /// `(incoming link, movement) -> outgoing link`, per node.
-    turns: HashMap<(LinkId, Movement), LinkId>,
+    /// Per link, the outgoing link each movement (by
+    /// [`Movement::index`]) leads onto at its downstream node.
+    turns: Vec<[Option<LinkId>; 3]>,
 }
 
 impl Network {
@@ -254,7 +254,7 @@ impl Network {
     /// The outgoing link a vehicle reaches when performing `movement`
     /// from incoming link `link`, if that turn exists.
     pub fn turn_target(&self, link: LinkId, movement: Movement) -> Option<LinkId> {
-        self.turns.get(&(link, movement)).copied()
+        self.turns.get(link.index())?[movement.index()]
     }
 
     /// The movement connecting incoming `from` to outgoing `to` at the
@@ -399,12 +399,15 @@ impl NetworkBuilder {
         Ok(id)
     }
 
-    /// Finalizes the network, computing adjacency and the turn map.
+    /// Finalizes the network, computing adjacency and the turn table.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if two outgoing links at one
-    /// node would claim the same turning movement from one incoming link.
+    /// Returns [`SimError::InvalidConfig`] if a node has more than
+    /// [`MAX_APPROACHES`] incoming or outgoing links (an observation
+    /// holds one reading per approach inline), or if two outgoing links
+    /// at one node would claim the same turning movement from one
+    /// incoming link.
     pub fn build(self) -> Result<Network, SimError> {
         let mut incoming = vec![Vec::new(); self.nodes.len()];
         let mut outgoing = vec![Vec::new(); self.nodes.len()];
@@ -412,25 +415,38 @@ impl NetworkBuilder {
             incoming[link.to().index()].push(link.id());
             outgoing[link.from().index()].push(link.id());
         }
+        for (node, (ins, outs)) in incoming.iter().zip(&outgoing).enumerate() {
+            if ins.len().max(outs.len()) > MAX_APPROACHES {
+                return Err(SimError::InvalidConfig(format!(
+                    "{} has {} incoming and {} outgoing links; at most \
+                     {MAX_APPROACHES} of each are supported",
+                    NodeId(node),
+                    ins.len(),
+                    outs.len()
+                )));
+            }
+        }
         // Stable ordering by approach direction then id keeps observation
         // vectors deterministic.
         let links = &self.links;
         for list in incoming.iter_mut().chain(outgoing.iter_mut()) {
             list.sort_by_key(|l| (links[l.index()].direction().index(), l.index()));
         }
-        let mut turns = HashMap::new();
+        let mut turns = vec![[None; 3]; links.len()];
         for node in &self.nodes {
             for &in_l in &incoming[node.id().index()] {
                 for &out_l in &outgoing[node.id().index()] {
                     let from_dir = links[in_l.index()].direction();
                     let to_dir = links[out_l.index()].direction();
                     if let Some(m) = Movement::between(from_dir, to_dir) {
-                        if turns.insert((in_l, m), out_l).is_some() {
+                        let slot = &mut turns[in_l.index()][m.index()];
+                        if slot.is_some() {
                             return Err(SimError::InvalidConfig(format!(
                                 "duplicate {m:?} turn from {in_l} at {}",
                                 node.id()
                             )));
                         }
+                        *slot = Some(out_l);
                     }
                 }
             }
@@ -533,6 +549,79 @@ mod tests {
             b.add_link(a, c, Direction::East, vec![]),
             Err(SimError::InvalidConfig(_))
         ));
+    }
+
+    /// A hub with `ins` incoming and `outs` outgoing links, each to or
+    /// from its own terminal.
+    fn hub(ins: usize, outs: usize) -> Result<Network, SimError> {
+        let mut b = NetworkBuilder::new();
+        let c = b.add_node(0.0, 0.0, true);
+        for k in 0..ins.max(outs) {
+            let t = b.add_node(100.0 * (k + 1) as f64, 0.0, false);
+            let d = Direction::ALL[k % 4];
+            if k < ins {
+                b.add_link(t, c, d, vec![Lane::all_movements()])?;
+            }
+            if k < outs {
+                b.add_link(c, t, d.opposite(), vec![Lane::all_movements()])?;
+            }
+        }
+        b.build()
+    }
+
+    fn assert_degree_rejected(ins: usize, outs: usize) {
+        match hub(ins, outs) {
+            Err(SimError::InvalidConfig(msg)) => assert!(msg.contains("at most 4"), "{msg}"),
+            other => panic!("{ins} in / {outs} out: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn four_way_node_builds() {
+        let net = hub(4, 4).expect("a four-way node builds");
+        assert_eq!(net.incoming(NodeId(0)).len(), MAX_APPROACHES);
+        assert_eq!(net.outgoing(NodeId(0)).len(), MAX_APPROACHES);
+    }
+
+    #[test]
+    fn fifth_incoming_link_is_rejected() {
+        assert_degree_rejected(5, 4);
+        assert_degree_rejected(5, 0);
+    }
+
+    #[test]
+    fn fifth_outgoing_link_is_rejected() {
+        assert_degree_rejected(4, 5);
+        assert_degree_rejected(0, 5);
+    }
+
+    #[test]
+    fn duplicate_turn_is_a_typed_error() {
+        // Two links enter the hub heading east and two leave it heading
+        // east: both outgoing links claim the through turn.
+        let mut b = NetworkBuilder::new();
+        let c = b.add_node(0.0, 0.0, true);
+        let w = b.add_node(-100.0, 0.0, false);
+        let e1 = b.add_node(100.0, 0.0, false);
+        let e2 = b.add_node(100.0, 10.0, false);
+        b.add_link(w, c, Direction::East, vec![Lane::all_movements()])
+            .unwrap();
+        b.add_link(c, e1, Direction::East, vec![Lane::all_movements()])
+            .unwrap();
+        b.add_link(c, e2, Direction::East, vec![Lane::all_movements()])
+            .unwrap();
+        match b.build() {
+            Err(SimError::InvalidConfig(msg)) => {
+                assert!(msg.contains("duplicate Through"), "{msg}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn turn_target_of_an_unknown_link_is_none() {
+        let net = cross();
+        assert_eq!(net.turn_target(LinkId(99), Movement::Through), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::chaos::{
     chaos_gaussian, chaos_uniform, fault_salt, ActuationKind, ChaosPlan, SensingKind,
 };
 use crate::demand::{ArrivalModel, DemandGenerator};
-use crate::detector::{DetectorConfig, IntersectionObs, LinkObs};
+use crate::detector::{Approaches, DetectorConfig, IntersectionObs, LinkObs};
 use crate::error::SimError;
 use crate::ids::{LinkId, NodeId, VehicleId};
 use crate::metrics::Metrics;
@@ -137,7 +137,9 @@ pub struct Simulation {
     pub(crate) vehicles: Vec<Vehicle>,
     pub(crate) links: Vec<LinkState>,
     pub(crate) signals: Vec<SignalState>,
-    pub(crate) signal_index: HashMap<NodeId, usize>,
+    /// Per node, the index of its signal in `signals` (`None` for
+    /// unsignalized nodes).
+    pub(crate) signal_index: Vec<Option<usize>>,
     pub(crate) demand: DemandGenerator,
     /// Vehicles spawned but not yet physically inserted, per origin link.
     pub(crate) backlog: HashMap<LinkId, VecDeque<VehicleId>>,
@@ -222,13 +224,13 @@ impl Simulation {
                 }
             })
             .collect();
-        let mut signal_index = HashMap::new();
+        let mut signal_index = vec![None; scenario.network.num_nodes()];
         let signals: Vec<SignalState> = scenario
             .signal_plans
             .iter()
             .enumerate()
             .map(|(i, plan)| {
-                signal_index.insert(plan.node(), i);
+                signal_index[plan.node().index()] = Some(i);
                 SignalState::new(plan.clone(), config.yellow_time)
             })
             .collect();
@@ -346,10 +348,14 @@ impl Simulation {
     ///
     /// Returns [`SimError::NotSignalized`] if the node has no plan.
     pub fn signal(&self, node: NodeId) -> Result<&SignalState, SimError> {
-        self.signal_index
-            .get(&node)
-            .map(|&i| &self.signals[i])
+        self.signal_slot(node)
+            .map(|i| &self.signals[i])
             .ok_or(SimError::NotSignalized(node))
+    }
+
+    /// Index of `node`'s signal in `signals`, if it has one.
+    pub(crate) fn signal_slot(&self, node: NodeId) -> Option<usize> {
+        self.signal_index.get(node.index()).copied().flatten()
     }
 
     /// Requests a phase at `node` (yellow clearance handled internally).
@@ -363,9 +369,8 @@ impl Simulation {
     ///
     /// Returns [`SimError::NotSignalized`] or [`SimError::InvalidPhase`].
     pub fn request_phase(&mut self, node: NodeId, phase: usize) -> Result<(), SimError> {
-        let &i = self
-            .signal_index
-            .get(&node)
+        let i = self
+            .signal_slot(node)
             .ok_or(SimError::NotSignalized(node))?;
         if self.command_dropped(node) {
             return self.signals[i].validate_phase(phase);
@@ -541,7 +546,7 @@ impl Simulation {
         for link_idx in 0..self.links.len() {
             let link_id = LinkId(link_idx);
             let to_node = self.scenario.network.link(link_id).to();
-            let signal_idx = self.signal_index.get(&to_node).copied();
+            let signal_idx = self.signal_slot(to_node);
             for lane_idx in 0..self.links[link_idx].lanes.len() {
                 // Accumulate budget (capped: no burst after red).
                 {
@@ -693,25 +698,29 @@ impl Simulation {
     pub fn observe(&self, node: NodeId) -> IntersectionObs {
         let range = self.config.detector.range;
         let network = &self.scenario.network;
-        let mut incoming = Vec::new();
+        let mut incoming = Approaches::new();
         for &l in network.incoming(node) {
             let mut obs = self.sense_link(l);
             self.degrade(&mut obs);
             self.apply_sensing_chaos(&mut obs);
             incoming.push(obs);
         }
-        let mut outgoing_counts = Vec::with_capacity(network.outgoing(node).len());
-        let mut outgoing_links = Vec::with_capacity(network.outgoing(node).len());
+        let mut outgoing_counts = Approaches::new();
+        let mut outgoing_links = Approaches::new();
         for &l in network.outgoing(node) {
             let state = &self.links[l.index()];
             let length = network.link(l).length();
             let mut count = 0.0;
-            for &id in &state.running {
+            // Runners near the upstream end are a suffix of the
+            // entry-ordered `running` vec (see `sense_link`): scan it
+            // from the back and stop at the first one out of range.
+            for &id in state.running.iter().rev() {
                 if let VehiclePosition::Running { distance } = self.vehicles[id.index()].position()
                 {
-                    if length - self.running_distance(id, distance) <= range {
-                        count += 1.0;
+                    if length - self.running_distance(id, distance) > range {
+                        break;
                     }
+                    count += 1.0;
                 }
             }
             if length <= range {
@@ -724,8 +733,8 @@ impl Simulation {
             outgoing_counts.push(count);
             outgoing_links.push(l);
         }
-        let (current_phase, num_phases) = match self.signal_index.get(&node) {
-            Some(&i) => (self.signals[i].phase(), self.signals[i].plan().num_phases()),
+        let (current_phase, num_phases) = match self.signal_slot(node) {
+            Some(i) => (self.signals[i].phase(), self.signals[i].plan().num_phases()),
             None => (0, 1),
         };
         IntersectionObs {
@@ -808,11 +817,17 @@ impl Simulation {
                 }
             }
         }
+        // `running` is in entry order and every runner on a link shares
+        // its length and speed, so stop-line distances are nondecreasing
+        // along the vec (the event core's advance pass relies on the same
+        // order). The in-range runners are therefore a prefix: stop at
+        // the first one beyond the detector edge.
         for &id in &state.running {
             if let VehiclePosition::Running { distance } = self.vehicles[id.index()].position() {
-                if self.running_distance(id, distance) <= range {
-                    count += 1.0;
+                if self.running_distance(id, distance) > range {
+                    break;
                 }
+                count += 1.0;
             }
         }
         LinkObs {
@@ -939,8 +954,6 @@ impl Simulation {
 
     /// Observes every signalized intersection, in agent order.
     pub fn observe_all(&self) -> Vec<IntersectionObs> {
-        // ~45% of wall time at 3025 agents (ROADMAP item 1) — spanned
-        // so the hotspot shows up in `obs_report`'s flamegraph view.
         let _span = tsc_obs::span!("sim.observe_all");
         self.signals
             .iter()

@@ -23,6 +23,9 @@ echo "==> parity smoke (event core vs legacy oracle, all flow patterns)"
 cargo test --release -q -p tsc-sim --test parity
 cargo test --release -q -p tsc-sim --test golden
 
+echo "==> allocation-count and golden-observation pins in release (perfbench measures release code; tier 1 runs debug)"
+cargo test --release -q --test alloc_counts --test scenario_scale
+
 echo "==> matmul kernel tests and the golden training pin in release (perfbench measures release code; tier 1 runs debug)"
 cargo test --release -q -p tsc-nn --lib
 cargo test --release -q -p pairuplight --lib

@@ -9,7 +9,7 @@
 use pairuplight::{PairUpLight, PairUpLightConfig};
 use tsc_baselines::MaxPressureController;
 use tsc_scenario::{city_spec, compile, corridor_spec, ring_spec};
-use tsc_sim::{Controller, EnvConfig, SimConfig};
+use tsc_sim::{Controller, EnvConfig, Fnv64, IntersectionObs, SimConfig, Simulation};
 
 fn env_cfg(horizon: u32) -> EnvConfig {
     EnvConfig {
@@ -94,6 +94,77 @@ fn thousand_intersection_city_steps_end_to_end() {
         "conservation at city scale"
     );
     assert_eq!(env.scenario_fingerprint(), compiled.scenario.fingerprint());
+}
+
+/// Folds every field of one observation, floats by their exact bits.
+fn hash_obs(h: &mut Fnv64, o: &IntersectionObs) {
+    h.write_usize(o.node.index());
+    h.write_u64(u64::from(o.time));
+    h.write_usize(o.incoming.len());
+    for l in o.incoming.iter() {
+        h.write_usize(l.link.index());
+        h.write_usize(l.direction.index());
+        h.write_f64(l.count);
+        h.write_f64(l.halting);
+        for &m in &l.halting_by_movement {
+            h.write_f64(m);
+        }
+        h.write_f64(l.head_wait);
+    }
+    h.write_usize(o.outgoing_counts.len());
+    for (&c, &l) in o.outgoing_counts.iter().zip(o.outgoing_links.iter()) {
+        h.write_f64(c);
+        h.write_usize(l.index());
+    }
+    h.write_usize(o.outgoing_links.len());
+    h.write_usize(o.current_phase);
+    h.write_usize(o.num_phases);
+}
+
+/// Golden observation pin: the FNV-1a of every field of every
+/// `observe_all` over a full hour of a ~200-signal compiled city under
+/// MaxPressure, driven as perfbench's `city_3k` loop drives its city
+/// (observe, decide, `request_phase`, then seven steps). The hour ends
+/// congested on an irregular network, which the 6×6 golden fixtures
+/// never reach, so any change to sensing — range cut-offs, lazy
+/// positions, movement attribution, head waits — moves the digest.
+#[test]
+fn city_hour_observations_match_golden_digest() {
+    let compiled = compile(&city_spec(200, 42)).expect("city-200 compiles");
+    let mut sim = Simulation::new(&compiled.scenario, SimConfig::default(), 42).expect("sim");
+    let agents = sim.signalized();
+    let phases: Vec<usize> = compiled
+        .scenario
+        .signal_plans
+        .iter()
+        .map(|p| p.num_phases())
+        .collect();
+    let mut controller = MaxPressureController::default();
+    controller.reset();
+    let mut h = Fnv64::new();
+    let mut steps = 0;
+    while sim.time() < 3600 {
+        let obs = sim.observe_all();
+        for o in &obs {
+            hash_obs(&mut h, o);
+        }
+        let actions = controller.decide(&obs);
+        for ((&node, &a), &p) in agents.iter().zip(&actions).zip(&phases) {
+            sim.request_phase(node, a % p).expect("valid phase");
+        }
+        for _ in 0..7 {
+            sim.step().expect("step");
+        }
+        steps += 1;
+    }
+    assert_eq!(steps, 515);
+    assert_eq!(sim.active_vehicles(), 6578, "the hour ends congested");
+    assert_eq!(
+        h.finish(),
+        0x86f3_b04e_7442_811e,
+        "observation digest {:016x}",
+        h.finish()
+    );
 }
 
 /// Full training on the 1000-intersection corridor. Too slow for
