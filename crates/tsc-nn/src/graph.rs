@@ -23,6 +23,7 @@
 //! assert_eq!(params.grad(w).data(), &[1.0, 4.0]);
 //! ```
 
+use crate::math;
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
 
@@ -208,9 +209,10 @@ impl Graph {
         self.push(v, Op::Sigmoid(a))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`math::tanh_in_place`]).
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(f32::tanh);
+        let mut v = self.values[a.0].clone();
+        math::tanh_in_place(v.data_mut());
         self.push(v, Op::Tanh(a))
     }
 

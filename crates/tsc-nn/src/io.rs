@@ -384,6 +384,22 @@ mod tests {
         assert!(err.to_string().contains("unexpected end of file"), "{err}");
     }
 
+    /// Parsed hyperparameters that would poison the next step are
+    /// typed errors, not an optimizer.
+    #[test]
+    fn adam_hostile_hyperparameters_are_rejected() {
+        for (meta, what) in [
+            ("NaN 0.9 0.999 1e-8", "learning rate"),
+            ("0.001 1 0.999 1e-8", "beta1"),
+            ("0.001 0.9 0.999 0", "epsilon"),
+        ] {
+            let text = format!("tsc-nn-adam v1\n{meta} 0 0\n");
+            let err = load_adam(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, LoadError::Format(_)), "{meta}: {err}");
+            assert!(err.to_string().contains(what), "{meta}: {err}");
+        }
+    }
+
     #[test]
     fn adam_truncated_stream_is_rejected() {
         let params = sample_params();

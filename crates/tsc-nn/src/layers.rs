@@ -9,6 +9,7 @@ use rand::Rng;
 
 use crate::graph::{Graph, Var};
 use crate::init::Init;
+use crate::math;
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
 
@@ -212,14 +213,16 @@ impl LstmCell {
     /// step loop does zero allocation and zero tape bookkeeping. The
     /// per-element expressions replicate the graph ops exactly
     /// (`gates = (xW_x + hW_h) + b`, `c' = (f·c) + (i·g)`,
-    /// `h' = o · tanh(c')`, sigmoid as `1/(1+e^{-x})`), which is what
-    /// makes serving-vs-training action parity exact rather than
-    /// approximate. Returns the number of buffer (re)allocations
-    /// performed (0 once shapes have stabilized).
+    /// `h' = o · tanh(c')`, sigmoid as `1/(1+e^{-x})`, tanh as
+    /// [`math::tanh_in_place`] passes over each row's `g` gate and
+    /// `c'`), which is what makes serving-vs-training action parity
+    /// exact rather than approximate. Returns the number of buffer
+    /// (re)allocations performed (0 once shapes have stabilized).
     ///
     /// # Panics
     ///
-    /// Panics on input shape mismatches (via the matmul kernels).
+    /// Panics on input shape mismatches: `c_prev` must be
+    /// `batch × hidden`; the matmul kernels check `x` and `h_prev`.
     #[allow(clippy::too_many_arguments)]
     pub fn infer_into(
         &self,
@@ -233,6 +236,7 @@ impl LstmCell {
     ) -> u64 {
         let batch = x.rows();
         let hsz = self.hidden;
+        assert_eq!(c_prev.shape(), (batch, hsz), "lstm c_prev shape");
         let mut allocs = u64::from(scratch.gates.ensure_shape(batch, 4 * hsz));
         allocs += u64::from(scratch.hterm.ensure_shape(batch, 4 * hsz));
         allocs += u64::from(h_out.ensure_shape(batch, hsz));
@@ -248,17 +252,18 @@ impl LstmCell {
                 gr[c] = (gr[c] + ht[c]) + b[c];
             }
         }
+        let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
         for r in 0..batch {
-            let g = gates.row(r);
-            let cp = c_prev.row(r);
+            let g = gates.row_mut(r);
+            math::tanh_in_place(&mut g[2 * hsz..3 * hsz]);
+            let (cp, c_new, h_new) = (c_prev.row(r), c_out.row_mut(r), h_out.row_mut(r));
             for j in 0..hsz {
-                let i = 1.0 / (1.0 + (-g[j]).exp());
-                let f = 1.0 / (1.0 + (-g[hsz + j]).exp());
-                let gg = g[2 * hsz + j].tanh();
-                let o = 1.0 / (1.0 + (-g[3 * hsz + j]).exp());
-                let c_new = (f * cp[j]) + (i * gg);
-                c_out.set(r, j, c_new);
-                h_out.set(r, j, o * c_new.tanh());
+                c_new[j] = (sigmoid(g[hsz + j]) * cp[j]) + (sigmoid(g[j]) * g[2 * hsz + j]);
+            }
+            h_new.copy_from_slice(c_new);
+            math::tanh_in_place(h_new);
+            for (h, &o) in h_new.iter_mut().zip(&g[3 * hsz..]) {
+                *h *= sigmoid(o);
             }
         }
         allocs
@@ -388,46 +393,73 @@ mod tests {
         assert_eq!(&out, g.value(y));
     }
 
+    /// Hidden widths around the tanh kernel's 8-lane groups: a single
+    /// lane, short and long remainders, whole groups.
     #[test]
     fn lstm_infer_is_bit_identical_to_graph_step() {
         let mut rng = StdRng::seed_from_u64(8);
+        for hidden in [6, 1, 7, 8, 9, 33] {
+            let mut params = Params::new();
+            let cell = LstmCell::new(&mut params, "lstm", 4, hidden, &mut rng);
+            let x = Tensor::randn(3, 4, 1.0, &mut rng);
+            let state = LstmState {
+                h: Tensor::randn(3, hidden, 0.5, &mut rng),
+                c: Tensor::randn(3, hidden, 0.5, &mut rng),
+            };
+            let mut g = Graph::new();
+            let xv = g.input(x.clone());
+            let (hv, next) = cell.step(&mut g, &params, xv, &state);
+            let mut scratch = LstmScratch::new();
+            let mut h_out = Tensor::zeros(0, 0);
+            let mut c_out = Tensor::zeros(0, 0);
+            let first = cell.infer_into(
+                &params,
+                &x,
+                &state.h,
+                &state.c,
+                &mut scratch,
+                &mut h_out,
+                &mut c_out,
+            );
+            assert_eq!(first, 4, "all four buffers sized on first use");
+            assert_eq!(&h_out, g.value(hv), "hidden {hidden}");
+            assert_eq!(c_out, next.c, "hidden {hidden}");
+            // Steady state: same shapes, zero allocations, same result.
+            let again = cell.infer_into(
+                &params,
+                &x,
+                &state.h,
+                &state.c,
+                &mut scratch,
+                &mut h_out,
+                &mut c_out,
+            );
+            assert_eq!(again, 0);
+            assert_eq!(&h_out, g.value(hv), "hidden {hidden}");
+        }
+    }
+
+    /// The tape step panics on a mis-shaped `c_prev` (through `mul`);
+    /// the tape-free step must too, not read part of a wider one.
+    #[test]
+    #[should_panic(expected = "lstm c_prev shape")]
+    fn lstm_infer_rejects_a_wider_c_prev() {
+        let mut rng = StdRng::seed_from_u64(9);
         let mut params = Params::new();
         let cell = LstmCell::new(&mut params, "lstm", 4, 6, &mut rng);
         let x = Tensor::randn(3, 4, 1.0, &mut rng);
-        let state = LstmState {
-            h: Tensor::randn(3, 6, 0.5, &mut rng),
-            c: Tensor::randn(3, 6, 0.5, &mut rng),
-        };
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let (hv, next) = cell.step(&mut g, &params, xv, &state);
-        let mut scratch = LstmScratch::new();
-        let mut h_out = Tensor::zeros(0, 0);
-        let mut c_out = Tensor::zeros(0, 0);
-        let first = cell.infer_into(
+        let h = Tensor::zeros(3, 6);
+        let c = Tensor::zeros(3, 7);
+        let (mut h_out, mut c_out) = (Tensor::zeros(0, 0), Tensor::zeros(0, 0));
+        cell.infer_into(
             &params,
             &x,
-            &state.h,
-            &state.c,
-            &mut scratch,
+            &h,
+            &c,
+            &mut LstmScratch::new(),
             &mut h_out,
             &mut c_out,
         );
-        assert_eq!(first, 4, "all four buffers sized on first use");
-        assert_eq!(&h_out, g.value(hv));
-        assert_eq!(c_out, next.c);
-        // Steady state: same shapes, zero allocations, same result.
-        let again = cell.infer_into(
-            &params,
-            &x,
-            &state.h,
-            &state.c,
-            &mut scratch,
-            &mut h_out,
-            &mut c_out,
-        );
-        assert_eq!(again, 0);
-        assert_eq!(&h_out, g.value(hv));
     }
 
     #[test]

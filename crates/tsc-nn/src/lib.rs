@@ -4,7 +4,7 @@
 //! ([`tensor`]), a tape autograd ([`graph`]) covering exactly the op set
 //! PPO/A2C/DQN over MLP+LSTM networks require, layers ([`layers`]),
 //! orthogonal initialization ([`init`], Algorithm 1 line 2 of the
-//! paper), and Adam ([`optim`]).
+//! paper), Adam ([`optim`]), and an owned, batched `tanh` ([`math`]).
 //!
 //! Every gradient rule is validated by finite-difference checks in the
 //! module tests.
@@ -38,6 +38,7 @@ pub mod graph;
 pub mod init;
 pub mod io;
 pub mod layers;
+pub mod math;
 pub mod optim;
 pub mod params;
 pub mod tensor;

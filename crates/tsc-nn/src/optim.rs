@@ -47,7 +47,9 @@ impl Adam {
     ///
     /// # Errors
     ///
-    /// Returns a message when `m` and `v` disagree in length or shape.
+    /// Returns a message when `m` and `v` disagree in length or shape,
+    /// when `lr` is negative or not finite, when `eps` is not a finite
+    /// positive number, or when a β lies outside `[0, 1)`.
     pub fn from_state(
         lr: f32,
         beta1: f32,
@@ -57,6 +59,17 @@ impl Adam {
         m: Vec<Tensor>,
         v: Vec<Tensor>,
     ) -> Result<Self, String> {
+        if !(lr.is_finite() && lr >= 0.0) {
+            return Err(format!("learning rate {lr} is not finite and non-negative"));
+        }
+        if !(eps.is_finite() && eps > 0.0) {
+            return Err(format!("epsilon {eps} is not finite and positive"));
+        }
+        for (name, beta) in [("beta1", beta1), ("beta2", beta2)] {
+            if !(0.0..1.0).contains(&beta) {
+                return Err(format!("{name} {beta} is outside [0, 1)"));
+            }
+        }
         if m.len() != v.len() {
             return Err(format!(
                 "moment count mismatch: {} first moments vs {} second moments",
@@ -136,9 +149,12 @@ impl Adam {
     /// Panics if `params` gained tensors since construction.
     pub fn step(&mut self, params: &mut Params) {
         assert_eq!(self.m.len(), params.len(), "param set changed size");
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        // A restored `t` may be anywhere in `u64`. From 2³¹ on, βᵗ is
+        // already exactly 0, so the exponent saturates there.
+        self.t = self.t.saturating_add(1);
+        let power = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let b1t = 1.0 - self.beta1.powi(power);
+        let b2t = 1.0 - self.beta2.powi(power);
         for id in params.ids() {
             let i = id.index();
             let grad = params.grad(id).clone();
@@ -203,6 +219,48 @@ mod tests {
         assert!(params.grad_norm() > 0.0);
         opt.step(&mut params);
         assert_eq!(params.grad_norm(), 0.0);
+    }
+
+    /// A restored timestep anywhere in `u64` still takes a normal step.
+    /// With a wrapping `t as i32` exponent, 2³¹ freezes every parameter,
+    /// 2³² - 1 and `u64::MAX - 1` make them NaN, and `u64::MAX`
+    /// overflows `t + 1`.
+    #[test]
+    fn huge_restored_timesteps_still_step() {
+        for t in [
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 32) - 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut params = Params::new();
+            let w = params.add("w", Tensor::full(1, 2, 1.0));
+            let zeros = vec![Tensor::zeros(1, 2)];
+            let mut opt = Adam::from_state(0.01, 0.9, 0.999, 1e-8, t, zeros.clone(), zeros)
+                .expect("valid state");
+            params.accumulate_grad(w, &Tensor::from_rows(&[&[0.5, -2.0]]));
+            opt.step(&mut params);
+            let after = params.value(w).data();
+            assert!(after.iter().all(|x| x.is_finite()), "t = {t}: {after:?}");
+            assert!(after.iter().all(|&x| x != 1.0), "t = {t}: {after:?}");
+        }
+    }
+
+    #[test]
+    fn from_state_rejects_hyperparameters_that_poison_a_step() {
+        let ok = |lr, b1, b2, eps| Adam::from_state(lr, b1, b2, eps, 0, vec![], vec![]).is_ok();
+        assert!(ok(0.0, 0.0, 0.999, 1e-8));
+        for lr in [f32::NAN, f32::INFINITY, -1e-3] {
+            assert!(!ok(lr, 0.9, 0.999, 1e-8), "lr {lr}");
+        }
+        for eps in [0.0, -1e-8, f32::NAN, f32::INFINITY] {
+            assert!(!ok(1e-3, 0.9, 0.999, eps), "eps {eps}");
+        }
+        for beta in [1.0, -0.1, 1.5, f32::NAN] {
+            assert!(!ok(1e-3, beta, 0.999, 1e-8), "beta1 {beta}");
+            assert!(!ok(1e-3, 0.9, beta, 1e-8), "beta2 {beta}");
+        }
     }
 
     #[test]

@@ -210,16 +210,24 @@ impl Tensor {
     /// that starts at +0.0. A zero meeting an infinite or NaN operand
     /// gives NaN.
     ///
+    /// The kernel has one body, built twice: for the baseline target and
+    /// for AVX2, chosen at run time. Both give the same bits. Strip width
+    /// is not part of the contract, Rust never contracts to an FMA (and
+    /// `fma` is not enabled), and SSE and AVX lanes round alike under
+    /// one MXCSR.
+    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch or a mis-sized `out`.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul inner dims");
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul_into out");
-        for i in 0..self.rows {
-            let a_row = self.row(i).iter();
-            row_strips(a_row, &other.data, out.row_mut(i));
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `matmul_avx2` requires only AVX2, detected just above.
+            return unsafe { matmul_avx2(self, other, out) };
         }
+        matmul_rows::<false>(self, other, out);
     }
 
     /// `selfᵀ @ other` without building the transpose: the same kernel
@@ -232,10 +240,13 @@ impl Tensor {
     pub(crate) fn t_matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "t_matmul inner dims");
         let mut out = Tensor::zeros(self.cols, other.cols);
-        for i in 0..self.cols {
-            let a_col = self.data.iter().skip(i).step_by(self.cols);
-            row_strips(a_col, &other.data, out.row_mut(i));
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `t_matmul_avx2` requires only AVX2, detected just above.
+            unsafe { t_matmul_avx2(self, other, &mut out) };
+            return out;
         }
+        t_matmul_rows::<false>(self, other, &mut out);
         out
     }
 
@@ -294,16 +305,57 @@ impl Tensor {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_avx2(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    matmul_rows::<true>(a, b, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn t_matmul_avx2(a: &Tensor, g: &Tensor, out: &mut Tensor) {
+    t_matmul_rows::<true>(a, g, out);
+}
+
+/// The one body of [`Tensor::matmul_into`] (shapes checked by the
+/// caller), built for the baseline target and inside [`matmul_avx2`].
+#[inline(always)]
+fn matmul_rows<const WIDE: bool>(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    for i in 0..a.rows {
+        row_strips::<WIDE>(a.row(i).iter(), &b.data, out.row_mut(i));
+    }
+}
+
+/// The one body of [`Tensor::t_matmul`]: `out = aᵀ @ g`, reading `a`
+/// column by column.
+#[inline(always)]
+fn t_matmul_rows<const WIDE: bool>(a: &Tensor, g: &Tensor, out: &mut Tensor) {
+    for i in 0..a.cols {
+        let a_col = a.data.iter().skip(i).step_by(a.cols);
+        row_strips::<WIDE>(a_col, &g.data, out.row_mut(i));
+    }
+}
+
 /// One output row of a matmul: `out[j] = Σ_k a_k · b[k][j]` over the
 /// `k` values `a` yields, for row-major `b` with `out.len()` columns.
-/// Columns go in strips of 32, 8, 4 and 1 so that each strip's partial
-/// sums stay in registers for the whole ascending-`k` loop.
-fn row_strips<'a>(a: impl Iterator<Item = &'a f32> + Clone, b: &[f32], out: &mut [f32]) {
+/// Columns go in strips of 32, 8, 4 and 1 — with 64 first when `WIDE`,
+/// for 256-bit registers — so that each strip's partial sums stay in
+/// registers for the whole ascending-`k` loop.
+#[inline(always)]
+fn row_strips<'a, const WIDE: bool>(
+    a: impl Iterator<Item = &'a f32> + Clone,
+    b: &[f32],
+    out: &mut [f32],
+) {
     let n = out.len();
     if n == 0 {
         return;
     }
     let mut j = 0;
+    while WIDE && j + 64 <= n {
+        strip::<64>(a.clone(), b, j, out);
+        j += 64;
+    }
     while j + 32 <= n {
         strip::<32>(a.clone(), b, j, out);
         j += 32;
@@ -441,21 +493,27 @@ mod tests {
         out
     }
 
-    /// Every strip width (32, 8, 4, 1) and their remainders, from one
-    /// row to a full minibatch, into a dirty output buffer.
+    /// Every strip width (64, 32, 8, 4, 1) and their remainders, from
+    /// one row to a full minibatch, into a dirty output buffer — through
+    /// the dispatched kernel (the AVX2 build where the CPU has it) and
+    /// the baseline build alike.
     #[test]
     fn matmul_into_matches_naive_ascending_k_reference() {
         let mut rng = StdRng::seed_from_u64(11);
         for rows in [1, 4, 9, 36, 256] {
-            for cols in [1, 3, 4, 5, 8, 9, 16, 31, 32, 33, 128] {
+            for cols in [1, 3, 4, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 128, 129] {
                 let inner = 1 + (rows + cols) % 40;
                 let a = zero_heavy(rows, inner, &mut rng);
                 let b = Tensor::randn(inner, cols, 1.0, &mut rng);
+                let expected = bits(&naive_matmul(&a, &b));
+                let shape = format!("{rows}x{inner} @ {inner}x{cols}");
                 let mut out = Tensor::full(rows, cols, f32::NAN);
                 a.matmul_into(&b, &mut out);
-                let shape = format!("{rows}x{inner} @ {inner}x{cols}");
-                assert_eq!(bits(&out), bits(&naive_matmul(&a, &b)), "{shape}");
-                assert_eq!(bits(&a.matmul(&b)), bits(&out), "{shape}");
+                assert_eq!(bits(&out), expected, "{shape}");
+                assert_eq!(bits(&a.matmul(&b)), expected, "{shape}");
+                let mut baseline = Tensor::full(rows, cols, f32::NAN);
+                matmul_rows::<false>(&a, &b, &mut baseline);
+                assert_eq!(bits(&baseline), expected, "baseline {shape}");
             }
         }
     }
@@ -478,15 +536,19 @@ mod tests {
             (9, 48, 5),
             (256, 33, 32),
             (256, 32, 128),
+            (7, 5, 63),
+            (7, 5, 64),
+            (36, 12, 65),
+            (36, 12, 129),
         ] {
             let a = zero_heavy(rows, a_cols, &mut rng);
             let g = Tensor::randn(rows, g_cols, 1.0, &mut rng);
-            let expected = a.transpose().matmul(&g);
-            assert_eq!(
-                bits(&a.t_matmul(&g)),
-                bits(&expected),
-                "{rows}x{a_cols}, {g_cols}"
-            );
+            let expected = bits(&a.transpose().matmul(&g));
+            let shape = format!("{rows}x{a_cols}, {g_cols}");
+            assert_eq!(bits(&a.t_matmul(&g)), expected, "{shape}");
+            let mut baseline = Tensor::full(a_cols, g_cols, f32::NAN);
+            t_matmul_rows::<false>(&a, &g, &mut baseline);
+            assert_eq!(bits(&baseline), expected, "baseline {shape}");
         }
     }
 
