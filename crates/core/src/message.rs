@@ -38,18 +38,19 @@ pub fn regularize<R: Rng>(raw: &[f32], sigma: f32, rng: &mut R) -> Vec<f32> {
 pub fn regularize_into<R: Rng>(raw: &[f32], sigma: f32, rng: &mut R, out: &mut [f32]) {
     assert_eq!(out.len(), raw.len(), "regularize_into length");
     for (o, &m) in out.iter_mut().zip(raw) {
-        let noisy = if sigma > 0.0 {
+        *o = if sigma > 0.0 {
             m + gaussian(rng) * sigma
         } else {
             m
         };
-        *o = logistic(noisy);
     }
+    tsc_nn::math::sigmoid_in_place(out);
 }
 
-/// The logistic function `1 / (1 + e^{-x})`.
+/// The logistic function `1 / (1 + e^{-x})`: [`tsc_nn::math::sigmoid`],
+/// the same bits as the batched squash in [`regularize_into`].
 pub fn logistic(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+    tsc_nn::math::sigmoid(x)
 }
 
 fn gaussian<R: Rng>(rng: &mut R) -> f32 {

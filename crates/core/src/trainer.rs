@@ -828,7 +828,7 @@ impl PairUpLight {
         for (i, &old) in old_logp.iter().enumerate() {
             let new = new_logp.get(i, 0);
             kl_sum += old - new;
-            if ((new - old).exp() - 1.0).abs() > self.cfg.ppo.clip {
+            if (tsc_nn::math::exp(new - old) - 1.0).abs() > self.cfg.ppo.clip {
                 clipped += 1;
             }
         }

@@ -203,9 +203,10 @@ impl Graph {
         self.push(v, Op::AddScalar(a, s))
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid ([`math::sigmoid_in_place`]).
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(|x| 1.0 / (1.0 + (-x).exp()));
+        let mut v = self.values[a.0].clone();
+        math::sigmoid_in_place(v.data_mut());
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -222,9 +223,10 @@ impl Graph {
         self.push(v, Op::Relu(a))
     }
 
-    /// Element-wise exponential.
+    /// Element-wise exponential ([`math::exp_in_place`]).
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.values[a.0].map(f32::exp);
+        let mut v = self.values[a.0].clone();
+        math::exp_in_place(v.data_mut());
         self.push(v, Op::Exp(a))
     }
 
@@ -240,9 +242,14 @@ impl Graph {
         let mut v = x.clone();
         for r in 0..x.rows() {
             let max = x.row(r).iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let logsum = x.row(r).iter().map(|&y| (y - max).exp()).sum::<f32>().ln() + max;
-            for y in v.row_mut(r) {
-                *y -= logsum;
+            // The row's `e^(y - max)` terms, in `v`'s row until the
+            // result overwrites them.
+            let terms = v.row_mut(r);
+            terms.iter_mut().for_each(|y| *y -= max);
+            math::exp_in_place(terms);
+            let logsum = terms.iter().sum::<f32>().ln() + max;
+            for (y, &xi) in terms.iter_mut().zip(x.row(r)) {
+                *y = xi - logsum;
             }
         }
         self.push(v, Op::LogSoftmax(a))
@@ -350,6 +357,11 @@ impl Graph {
             graph: self,
             slots: (0..self.values.len()).map(|_| None).collect(),
         };
+        // `bᵀ` for each matmul's left-operand gradient, packed into one
+        // buffer that the whole pass reuses.
+        let mut packed = Tensor::zeros(0, 0);
+        // Scratch for a log-softmax row's probabilities.
+        let mut probs = Vec::new();
         grads.give(loss, Tensor::full(1, 1, 1.0));
         for i in (0..self.ops.len()).rev() {
             let Some(g) = grads.slots[i].take() else {
@@ -364,7 +376,8 @@ impl Graph {
                 Op::Param(id) => params.accumulate_grad(*id, &g),
                 Op::MatMul(a, b) => {
                     if self.needs_grad[a.0] {
-                        grads.give(*a, g.matmul(&self.values[b.0].transpose()));
+                        self.values[b.0].transpose_into(&mut packed);
+                        grads.give(*a, g.matmul(&packed));
                     }
                     if self.needs_grad[b.0] {
                         grads.give(*b, self.values[a.0].t_matmul(&g));
@@ -447,10 +460,13 @@ impl Graph {
                     // `y` holds log-probabilities.
                     if let Some(d) = grads.slot(*a) {
                         for r in 0..y.rows() {
-                            let (gr, yr) = (g.row(r), y.row(r));
+                            let gr = g.row(r);
                             let gsum: f32 = gr.iter().copied().sum();
-                            for ((di, &gi), &yi) in d.row_mut(r).iter_mut().zip(gr).zip(yr) {
-                                *di += gi - yi.exp() * gsum;
+                            probs.clear();
+                            probs.extend_from_slice(y.row(r));
+                            math::exp_in_place(&mut probs);
+                            for ((di, &gi), &p) in d.row_mut(r).iter_mut().zip(gr).zip(&probs) {
+                                *di += gi - p * gsum;
                             }
                         }
                     }
@@ -593,15 +609,19 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
 pub fn softmax_rows_into(x: &Tensor, out: &mut Tensor) {
     assert_eq!(out.shape(), x.shape(), "softmax_rows_into out");
     for r in 0..x.rows() {
-        let max = x.row(r).iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let xr = x.row(r);
+        let max = xr.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let out_r = out.row_mut(r);
+        for (e, &xi) in out_r.iter_mut().zip(xr) {
+            *e = xi - max;
+        }
+        math::exp_in_place(out_r);
         let mut sum = 0.0;
-        for c in 0..x.cols() {
-            let e = (x.get(r, c) - max).exp();
-            out.set(r, c, e);
+        for &e in out_r.iter() {
             sum += e;
         }
-        for c in 0..x.cols() {
-            out.set(r, c, out.get(r, c) / sum);
+        for e in out_r {
+            *e /= sum;
         }
     }
 }

@@ -213,9 +213,10 @@ impl LstmCell {
     /// step loop does zero allocation and zero tape bookkeeping. The
     /// per-element expressions replicate the graph ops exactly
     /// (`gates = (xW_x + hW_h) + b`, `c' = (f·c) + (i·g)`,
-    /// `h' = o · tanh(c')`, sigmoid as `1/(1+e^{-x})`, tanh as
-    /// [`math::tanh_in_place`] passes over each row's `g` gate and
-    /// `c'`), which is what makes serving-vs-training action parity
+    /// `h' = o · tanh(c')`, with [`math::sigmoid_in_place`] passes over
+    /// each row's `i`, `f` and `o` gates and [`math::tanh_in_place`]
+    /// passes over its `g` gate and `c'`), which is what makes
+    /// serving-vs-training action parity
     /// exact rather than approximate. Returns the number of buffer
     /// (re)allocations performed (0 once shapes have stabilized).
     ///
@@ -252,18 +253,22 @@ impl LstmCell {
                 gr[c] = (gr[c] + ht[c]) + b[c];
             }
         }
-        let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
         for r in 0..batch {
             let g = gates.row_mut(r);
+            math::sigmoid_in_place(&mut g[..2 * hsz]);
             math::tanh_in_place(&mut g[2 * hsz..3 * hsz]);
+            math::sigmoid_in_place(&mut g[3 * hsz..]);
+            let (i, rest) = g.split_at(hsz);
+            let (f, rest) = rest.split_at(hsz);
+            let (gg, o) = rest.split_at(hsz);
             let (cp, c_new, h_new) = (c_prev.row(r), c_out.row_mut(r), h_out.row_mut(r));
             for j in 0..hsz {
-                c_new[j] = (sigmoid(g[hsz + j]) * cp[j]) + (sigmoid(g[j]) * g[2 * hsz + j]);
+                c_new[j] = (f[j] * cp[j]) + (i[j] * gg[j]);
             }
             h_new.copy_from_slice(c_new);
             math::tanh_in_place(h_new);
-            for (h, &o) in h_new.iter_mut().zip(&g[3 * hsz..]) {
-                *h *= sigmoid(o);
+            for (h, &o) in h_new.iter_mut().zip(o) {
+                *h *= o;
             }
         }
         allocs
@@ -393,12 +398,12 @@ mod tests {
         assert_eq!(&out, g.value(y));
     }
 
-    /// Hidden widths around the tanh kernel's 8-lane groups: a single
-    /// lane, short and long remainders, whole groups.
+    /// Hidden widths around the element-wise kernels' 8- and 16-lane
+    /// groups: a single lane, short and long remainders, whole groups.
     #[test]
     fn lstm_infer_is_bit_identical_to_graph_step() {
         let mut rng = StdRng::seed_from_u64(8);
-        for hidden in [6, 1, 7, 8, 9, 33] {
+        for hidden in [6, 1, 7, 8, 9, 15, 16, 17, 33] {
             let mut params = Params::new();
             let cell = LstmCell::new(&mut params, "lstm", 4, hidden, &mut rng);
             let x = Tensor::randn(3, 4, 1.0, &mut rng);

@@ -4,7 +4,8 @@
 //! ([`tensor`]), a tape autograd ([`graph`]) covering exactly the op set
 //! PPO/A2C/DQN over MLP+LSTM networks require, layers ([`layers`]),
 //! orthogonal initialization ([`init`], Algorithm 1 line 2 of the
-//! paper), Adam ([`optim`]), and an owned, batched `tanh` ([`math`]).
+//! paper), Adam ([`optim`]), and owned, batched `tanh`, `exp` and
+//! sigmoid ([`math`]).
 //!
 //! Every gradient rule is validated by finite-difference checks in the
 //! module tests.
@@ -41,6 +42,7 @@ pub mod layers;
 pub mod math;
 pub mod optim;
 pub mod params;
+mod simd;
 pub mod tensor;
 
 pub use graph::{softmax_rows, softmax_rows_into, Graph, Var};

@@ -157,7 +157,7 @@ impl Adam {
         let b2t = 1.0 - self.beta2.powi(power);
         for id in params.ids() {
             let i = id.index();
-            let grad = params.grad(id).clone();
+            let (value, grad) = params.value_mut_and_grad(id);
             let m = &mut self.m[i];
             for (mi, gi) in m.data_mut().iter_mut().zip(grad.data()) {
                 *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
@@ -166,7 +166,6 @@ impl Adam {
             for (vi, gi) in v.data_mut().iter_mut().zip(grad.data()) {
                 *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
             }
-            let value = params.value_mut(id);
             for ((wi, mi), vi) in value
                 .data_mut()
                 .iter_mut()

@@ -71,6 +71,12 @@ impl Params {
         &mut self.values[id.0]
     }
 
+    /// Value of parameter `id`, mutably, beside its gradient: disjoint
+    /// fields, so an optimizer reads one while it writes the other.
+    pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        (&mut self.values[id.0], &self.grads[id.0])
+    }
+
     /// Gradient accumulator of parameter `id`.
     pub fn grad(&self, id: ParamId) -> &Tensor {
         &self.grads[id.0]

@@ -8,6 +8,8 @@ use std::fmt;
 
 use rand::Rng;
 
+use crate::simd::{self, Kernel, AVX2, AVX512};
+
 /// A dense row-major matrix of `f32`.
 ///
 /// # Examples
@@ -210,11 +212,9 @@ impl Tensor {
     /// that starts at +0.0. A zero meeting an infinite or NaN operand
     /// gives NaN.
     ///
-    /// The kernel has one body, built twice: for the baseline target and
-    /// for AVX2, chosen at run time. Both give the same bits. Strip width
-    /// is not part of the contract, Rust never contracts to an FMA (and
-    /// `fma` is not enabled), and SSE and AVX lanes round alike under
-    /// one MXCSR.
+    /// The kernel has one body, built for baseline x86-64, AVX2 and
+    /// AVX-512F and chosen at run time (see `simd`); every build gives
+    /// the same bits.
     ///
     /// # Panics
     ///
@@ -222,17 +222,16 @@ impl Tensor {
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul inner dims");
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul_into out");
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `matmul_avx2` requires only AVX2, detected just above.
-            return unsafe { matmul_avx2(self, other, out) };
-        }
-        matmul_rows::<false>(self, other, out);
+        simd::run(MatMul {
+            a: self,
+            b: other,
+            out,
+        });
     }
 
-    /// `selfᵀ @ other` without building the transpose: the same kernel
-    /// and summation order as `self.transpose().matmul(other)`, reading
-    /// `self` column by column.
+    /// `selfᵀ @ other` without building the transpose: each element is
+    /// the same ascending-`k` sum as in `self.transpose().matmul(other)`.
+    /// See [`TMatMul`] for how the kernel walks the operands.
     ///
     /// # Panics
     ///
@@ -240,25 +239,33 @@ impl Tensor {
     pub(crate) fn t_matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "t_matmul inner dims");
         let mut out = Tensor::zeros(self.cols, other.cols);
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `t_matmul_avx2` requires only AVX2, detected just above.
-            unsafe { t_matmul_avx2(self, other, &mut out) };
-            return out;
-        }
-        t_matmul_rows::<false>(self, other, &mut out);
+        simd::run(TMatMul {
+            a: self,
+            g: other,
+            out: &mut out,
+        });
         out
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
+        let mut out = Tensor::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// The transpose written into `out`, which takes the transposed
+    /// shape and keeps its allocation whenever its capacity suffices.
+    pub(crate) fn transpose_into(&self, out: &mut Tensor) {
+        out.rows = self.cols;
+        out.cols = self.rows;
+        out.data.clear();
+        out.data.resize(self.data.len(), 0.0);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Element-wise in-place `self += other`.
@@ -305,71 +312,107 @@ impl Tensor {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn matmul_avx2(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    matmul_rows::<true>(a, b, out);
+/// The body of [`Tensor::matmul_into`] (shapes checked by the caller):
+/// one output row at a time, in column strips.
+struct MatMul<'a> {
+    a: &'a Tensor,
+    b: &'a Tensor,
+    out: &'a mut Tensor,
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn t_matmul_avx2(a: &Tensor, g: &Tensor, out: &mut Tensor) {
-    t_matmul_rows::<true>(a, g, out);
-}
-
-/// The one body of [`Tensor::matmul_into`] (shapes checked by the
-/// caller), built for the baseline target and inside [`matmul_avx2`].
-#[inline(always)]
-fn matmul_rows<const WIDE: bool>(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    for i in 0..a.rows {
-        row_strips::<WIDE>(a.row(i).iter(), &b.data, out.row_mut(i));
+impl Kernel for MatMul<'_> {
+    #[inline(always)]
+    fn run<const LEVEL: u8>(self) {
+        let MatMul { a, b, out } = self;
+        for i in 0..a.rows {
+            row_strips::<LEVEL>(a.row(i).iter(), &b.data, out.row_mut(i), true);
+        }
     }
 }
 
-/// The one body of [`Tensor::t_matmul`]: `out = aᵀ @ g`, reading `a`
-/// column by column.
-#[inline(always)]
-fn t_matmul_rows<const WIDE: bool>(a: &Tensor, g: &Tensor, out: &mut Tensor) {
-    for i in 0..a.cols {
-        let a_col = a.data.iter().skip(i).step_by(a.cols);
-        row_strips::<WIDE>(a_col, &g.data, out.row_mut(i));
+/// Rows of `k` per block in [`TMatMul`]: 64 rows of a 128-column
+/// operand are 32 KB, which stays in L1 across every output row.
+const K_BLOCK: usize = 64;
+
+/// The body of [`Tensor::t_matmul`]: `out = aᵀ @ g`, for `a` `n × p`,
+/// `g` `n × q` and `out` `p × q` (shapes checked by the caller). Output
+/// row `i` is column `i` of `a` against `g`, in column strips.
+///
+/// `k` (the `n` axis) goes in blocks of [`K_BLOCK`] rows, so one block
+/// of the streamed operand is read from L1 by every output row instead
+/// of from L2 once per row. An element's partial sum is stored to
+/// `out` after a block and reloaded for the next: that is the same
+/// `f32` the register held, so every element is still one sum over
+/// ascending `k` from +0.0.
+struct TMatMul<'a> {
+    a: &'a Tensor,
+    g: &'a Tensor,
+    out: &'a mut Tensor,
+}
+
+impl Kernel for TMatMul<'_> {
+    #[inline(always)]
+    fn run<const LEVEL: u8>(self) {
+        let TMatMul { a, g, out } = self;
+        let (n, p, q) = (a.rows, a.cols, g.cols);
+        if p == 0 || q == 0 {
+            return;
+        }
+        // An empty `k` range still runs one (empty) block, which writes
+        // the +0.0 sums.
+        for k0 in (0..n.max(1)).step_by(K_BLOCK) {
+            let k1 = (k0 + K_BLOCK).min(n);
+            let a_block = &a.data[k0 * p..k1 * p];
+            let g_block = &g.data[k0 * q..k1 * q];
+            for (i, out_row) in out.data.chunks_exact_mut(q).enumerate() {
+                let a_col = a_block.iter().skip(i).step_by(p);
+                row_strips::<LEVEL>(a_col, g_block, out_row, k0 == 0);
+            }
+        }
     }
 }
 
-/// One output row of a matmul: `out[j] = Σ_k a_k · b[k][j]` over the
-/// `k` values `a` yields, for row-major `b` with `out.len()` columns.
-/// Columns go in strips of 32, 8, 4 and 1 — with 64 first when `WIDE`,
-/// for 256-bit registers — so that each strip's partial sums stay in
-/// registers for the whole ascending-`k` loop.
+/// One output row: `out[s] (+)= Σ_k a_k · b[k][s]` over the `k` values
+/// `a` yields, for row-major `b` with `out.len()` columns. The sums
+/// start at +0.0 when `fresh`, and from the values in `out` otherwise.
+/// Columns go in strips of 32, 8, 4 and 1 — with 64 first from AVX2 on
+/// and 128 first with AVX-512F, eight registers either way — so that
+/// each strip's partial sums stay in registers for the whole
+/// ascending-`k` loop.
 #[inline(always)]
-fn row_strips<'a, const WIDE: bool>(
+fn row_strips<'a, const LEVEL: u8>(
     a: impl Iterator<Item = &'a f32> + Clone,
     b: &[f32],
     out: &mut [f32],
+    fresh: bool,
 ) {
     let n = out.len();
     if n == 0 {
         return;
     }
     let mut j = 0;
-    while WIDE && j + 64 <= n {
-        strip::<64>(a.clone(), b, j, out);
+    while LEVEL >= AVX512 && j + 128 <= n {
+        strip::<128>(a.clone(), b, j, out, fresh);
+        j += 128;
+    }
+    while LEVEL >= AVX2 && j + 64 <= n {
+        strip::<64>(a.clone(), b, j, out, fresh);
         j += 64;
     }
     while j + 32 <= n {
-        strip::<32>(a.clone(), b, j, out);
+        strip::<32>(a.clone(), b, j, out, fresh);
         j += 32;
     }
     while j + 8 <= n {
-        strip::<8>(a.clone(), b, j, out);
+        strip::<8>(a.clone(), b, j, out, fresh);
         j += 8;
     }
     while j + 4 <= n {
-        strip::<4>(a.clone(), b, j, out);
+        strip::<4>(a.clone(), b, j, out, fresh);
         j += 4;
     }
     while j < n {
-        strip::<1>(a.clone(), b, j, out);
+        strip::<1>(a.clone(), b, j, out, fresh);
         j += 1;
     }
 }
@@ -381,8 +424,12 @@ fn strip<'a, const W: usize>(
     b: &[f32],
     j: usize,
     out: &mut [f32],
+    fresh: bool,
 ) {
     let mut acc = [0.0f32; W];
+    if !fresh {
+        acc.copy_from_slice(&out[j..j + W]);
+    }
     for (&av, b_row) in a.zip(b.chunks_exact(out.len())) {
         let b_strip: &[f32; W] = b_row[j..j + W].try_into().expect("strip width");
         for (s, &bv) in acc.iter_mut().zip(b_strip) {
@@ -493,15 +540,18 @@ mod tests {
         out
     }
 
-    /// Every strip width (64, 32, 8, 4, 1) and their remainders, from
-    /// one row to a full minibatch, into a dirty output buffer — through
-    /// the dispatched kernel (the AVX2 build where the CPU has it) and
-    /// the baseline build alike.
+    /// Every strip width (128, 64, 32, 8, 4, 1) and their remainders,
+    /// from one row to a full minibatch, into a dirty output buffer —
+    /// through every build this CPU runs, and through the dispatched
+    /// kernel.
     #[test]
     fn matmul_into_matches_naive_ascending_k_reference() {
         let mut rng = StdRng::seed_from_u64(11);
+        let widths = [
+            1, 3, 4, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257,
+        ];
         for rows in [1, 4, 9, 36, 256] {
-            for cols in [1, 3, 4, 5, 8, 9, 16, 31, 32, 33, 63, 64, 65, 128, 129] {
+            for cols in widths {
                 let inner = 1 + (rows + cols) % 40;
                 let a = zero_heavy(rows, inner, &mut rng);
                 let b = Tensor::randn(inner, cols, 1.0, &mut rng);
@@ -511,9 +561,19 @@ mod tests {
                 a.matmul_into(&b, &mut out);
                 assert_eq!(bits(&out), expected, "{shape}");
                 assert_eq!(bits(&a.matmul(&b)), expected, "{shape}");
-                let mut baseline = Tensor::full(rows, cols, f32::NAN);
-                matmul_rows::<false>(&a, &b, &mut baseline);
-                assert_eq!(bits(&baseline), expected, "baseline {shape}");
+                for level in simd::levels() {
+                    let mut out = Tensor::full(rows, cols, f32::NAN);
+                    let (a, b) = (&a, &b);
+                    simd::run_at(
+                        level,
+                        MatMul {
+                            a,
+                            b,
+                            out: &mut out,
+                        },
+                    );
+                    assert_eq!(bits(&out), expected, "level {level}: {shape}");
+                }
             }
         }
     }
@@ -526,30 +586,72 @@ mod tests {
         assert!(a.matmul(&b).get(0, 0).is_nan());
     }
 
+    /// `aᵀ @ g` against the naive reference on the explicit transpose,
+    /// into a dirty output buffer, through every build this CPU runs.
     #[test]
-    fn t_matmul_matches_explicit_transpose() {
+    fn t_matmul_matches_naive_reference_on_the_transpose() {
         let mut rng = StdRng::seed_from_u64(12);
-        for (rows, a_cols, g_cols) in [
-            (0, 3, 2),
-            (1, 1, 1),
+        let g_widths = [1, 2, 4, 5, 31, 32, 33, 63, 64, 65, 128, 129];
+        let mut shapes = Vec::new();
+        // Every `k` around the block height, against outputs on both
+        // sides of every strip width.
+        for rows in [0, 1, 9, 63, 64, 65, 256, 257] {
+            for a_cols in [0, 1, 3, 5, 33] {
+                shapes.extend(g_widths.map(|g_cols| (rows, a_cols, g_cols)));
+            }
+        }
+        // Wider `a` (more output rows, a longer stride down its
+        // columns), over one block and over two.
+        for rows in [1, 65] {
+            for a_cols in [12, 32, 48, 64, 65, 128, 129] {
+                shapes.extend(g_widths.map(|g_cols| (rows, a_cols, g_cols)));
+            }
+        }
+        // Odd `k`s, and the gradients `lstm_hidden` 64 trains: the heads
+        // (`a` 64 wide, 1 and 4 outputs), fc (64 outputs) and the LSTM
+        // weights (256 outputs).
+        shapes.extend([
             (4, 3, 33),
-            (9, 48, 5),
-            (256, 33, 32),
-            (256, 32, 128),
             (7, 5, 63),
             (7, 5, 64),
+            (9, 48, 5),
             (36, 12, 65),
             (36, 12, 129),
-        ] {
+            (256, 64, 1),
+            (256, 64, 4),
+            (256, 48, 64),
+            (256, 64, 256),
+        ]);
+        for (rows, a_cols, g_cols) in shapes {
             let a = zero_heavy(rows, a_cols, &mut rng);
             let g = Tensor::randn(rows, g_cols, 1.0, &mut rng);
-            let expected = bits(&a.transpose().matmul(&g));
+            let expected = bits(&naive_matmul(&a.transpose(), &g));
             let shape = format!("{rows}x{a_cols}, {g_cols}");
             assert_eq!(bits(&a.t_matmul(&g)), expected, "{shape}");
-            let mut baseline = Tensor::full(a_cols, g_cols, f32::NAN);
-            t_matmul_rows::<false>(&a, &g, &mut baseline);
-            assert_eq!(bits(&baseline), expected, "baseline {shape}");
+            for level in simd::levels() {
+                let mut out = Tensor::full(a_cols, g_cols, f32::NAN);
+                let (a, g) = (&a, &g);
+                simd::run_at(
+                    level,
+                    TMatMul {
+                        a,
+                        g,
+                        out: &mut out,
+                    },
+                );
+                assert_eq!(bits(&out), expected, "level {level}: {shape}");
+            }
         }
+    }
+
+    #[test]
+    fn transpose_into_reuses_a_large_enough_buffer() {
+        let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let mut out = Tensor::zeros(4, 4);
+        let before = out.data().as_ptr();
+        a.transpose_into(&mut out);
+        assert_eq!(out, a.transpose());
+        assert_eq!(out.data().as_ptr(), before);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-PR gate: formatting, lints with warnings denied, release build,
 # the tier-1 test suite, release runs of the bit-identity pins and the
-# exhaustive tanh check, smoke runs of the bench bins that hold gates
+# exhaustive tanh and exp checks, smoke runs of the bench bins that hold gates
 # of their own, and perfbench's tests. Serving, chaos and fleet
 # behaviour is pinned by tier-1 tests, not by bin smokes. Run from
 # anywhere inside the repo.
@@ -27,11 +27,11 @@ cargo test --release -q -p tsc-sim --test golden
 echo "==> allocation-count and golden-observation pins in release (perfbench measures release code; tier 1 runs debug)"
 cargo test --release -q --test alloc_counts --test scenario_scale
 
-echo "==> tsc-nn kernel tests (matmul, tanh) and the golden training pin in release (perfbench measures release code; tier 1 runs debug)"
+echo "==> tsc-nn kernel tests (matmul, t_matmul, tanh, exp) and the golden training pin in release (perfbench measures release code; tier 1 runs debug)"
 cargo test --release -q -p tsc-nn --lib
 cargo test --release -q -p pairuplight --lib
 
-echo "==> owned tanh on all 2^32 inputs, both kernel builds against libm, exact bits (ignored in tier 1)"
+echo "==> owned tanh and exp on all 2^32 inputs, every kernel build this CPU runs (baseline, AVX2, AVX-512F) against libm (glibc's FMA expf for exp), exact bits (ignored in tier 1)"
 cargo test --release -q -p tsc-nn --lib -- --ignored
 
 echo "==> loadgen --smoke (admission: no abort, overload replay digest, zero degraded steps under infra chaos, pinned p99)"

@@ -14,7 +14,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use tsc_baselines::MaxPressureController;
+use tsc_nn::{Adam, Graph, LstmCell, Params, Tensor};
 use tsc_scenario::{city_spec, compile};
 use tsc_sim::{Controller, IntersectionObs, SimConfig, Simulation};
 
@@ -107,4 +110,30 @@ fn observe_all_allocates_once_per_call() {
         sim.active_vehicles() > 1000,
         "the city is congested by then"
     );
+}
+
+/// A steady-state `Adam::step` allocates nothing: it reads each
+/// parameter's gradient in place while it writes the value, over an
+/// LSTM cell's weights and bias plus a scalar.
+#[test]
+fn adam_step_allocates_nothing() {
+    const PIN: u64 = 0;
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut params = Params::new();
+    let cell = LstmCell::new(&mut params, "lstm", 6, 8, &mut rng);
+    let w = params.add("w", Tensor::full(1, 1, 0.5));
+    let mut opt = Adam::new(&params, 1e-3);
+    for step in 0..5 {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::randn(4, 6, 1.0, &mut rng));
+        let h = g.input(Tensor::zeros(4, 8));
+        let c = g.input(Tensor::zeros(4, 8));
+        let (h_new, _) = cell.forward(&mut g, &params, x, h, c);
+        let wv = g.param(&params, w);
+        let s = g.sum(h_new);
+        let loss = g.add(s, wv);
+        g.backward(loss, &mut params);
+        let ((), allocs, _) = count(|| opt.step(&mut params));
+        assert_eq!(allocs, PIN, "Adam::step allocations at step {step}");
+    }
 }
