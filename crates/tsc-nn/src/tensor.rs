@@ -330,15 +330,26 @@ impl Kernel for MatMul<'_> {
     }
 }
 
-/// Rows of `k` per block in [`TMatMul`]: 64 rows of a 128-column
-/// operand are 32 KB, which stays in L1 across every output row.
-const K_BLOCK: usize = 64;
+/// Most bytes of `g` one `k` block of [`TMatMul`] spans: 32 KB stays in
+/// L1 across every output row.
+const K_BLOCK_BYTES: usize = 32 * 1024;
+
+/// Most rows of `k` per block: 64 rows of a 128-column `g` fill
+/// [`K_BLOCK_BYTES`].
+const K_BLOCK_ROWS: usize = 64;
+
+/// Rows of `k` per block for a `g` of `q` columns: [`K_BLOCK_ROWS`] up
+/// to 128 columns, fewer above so a block stays within
+/// [`K_BLOCK_BYTES`] (32 rows at 256 columns).
+fn k_block(q: usize) -> usize {
+    (K_BLOCK_BYTES / q.saturating_mul(std::mem::size_of::<f32>())).clamp(1, K_BLOCK_ROWS)
+}
 
 /// The body of [`Tensor::t_matmul`]: `out = aᵀ @ g`, for `a` `n × p`,
 /// `g` `n × q` and `out` `p × q` (shapes checked by the caller). Output
 /// row `i` is column `i` of `a` against `g`, in column strips.
 ///
-/// `k` (the `n` axis) goes in blocks of [`K_BLOCK`] rows, so one block
+/// `k` (the `n` axis) goes in blocks of [`k_block`] rows, so one block
 /// of the streamed operand is read from L1 by every output row instead
 /// of from L2 once per row. An element's partial sum is stored to
 /// `out` after a block and reloaded for the next: that is the same
@@ -360,8 +371,9 @@ impl Kernel for TMatMul<'_> {
         }
         // An empty `k` range still runs one (empty) block, which writes
         // the +0.0 sums.
-        for k0 in (0..n.max(1)).step_by(K_BLOCK) {
-            let k1 = (k0 + K_BLOCK).min(n);
+        let rows = k_block(q);
+        for k0 in (0..n.max(1)).step_by(rows) {
+            let k1 = (k0 + rows).min(n);
             let a_block = &a.data[k0 * p..k1 * p];
             let g_block = &g.data[k0 * q..k1 * q];
             for (i, out_row) in out.data.chunks_exact_mut(q).enumerate() {

@@ -148,6 +148,7 @@ fn lower_incidents(incidents: &[IncidentSpec], network: &Network) -> Result<Chao
 mod tests {
     use super::*;
     use crate::spec::{DemandProgram, TopologySpec};
+    use tsc_sim::Simulation;
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -261,6 +262,28 @@ mod tests {
                 other => panic!("{topology:?}: expected InvalidConfig, got {other:?}"),
             }
         }
+    }
+
+    /// A spec may ask for any finite spacing; 1e15 m links parse and
+    /// compile, and the simulator refuses them instead of looping over
+    /// their traversal.
+    #[test]
+    fn links_beyond_the_traversal_bound_fail_set_up() {
+        let mut spec = small_spec();
+        spec.topology = TopologySpec::Grid {
+            cols: 2,
+            rows: 2,
+            spacing: 1e15,
+        };
+        let spec = ScenarioSpec::from_text(&spec.to_text()).unwrap();
+        let compiled = compile(&spec).unwrap();
+        assert!(matches!(
+            Simulation::new(&compiled.scenario, SimConfig::default(), 1),
+            Err(SimError::InvalidConfig(msg)) if msg.contains("traversal bound")
+        ));
+        assert!(compiled
+            .env(SimConfig::default(), EnvConfig::default(), 1)
+            .is_err());
     }
 
     #[test]

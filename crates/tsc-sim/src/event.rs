@@ -20,9 +20,20 @@
 //!   the time queue.
 //! * **Waiting time is closed-form.** Every head wait is a slope-one
 //!   ramp from its join tick, so the per-tick mean-of-max-waits sample
-//!   is derived from per-signal minimum join ticks (`sig_min`) instead
-//!   of per-vehicle counters; per-vehicle totals are settled when a
-//!   vehicle leaves its queue (`join_tick`).
+//!   is derived from per-signal minimum join ticks (`sig_min`, over its
+//!   approach links' earliest head join ticks) instead of per-vehicle
+//!   counters; per-vehicle totals are settled when a vehicle leaves its
+//!   queue (`join_tick`).
+//! * **Detectors read counters.** A runner's position depends only on
+//!   the tick it entered its link (both steppers start it at `length`
+//!   and subtract `free_speed` once per tick), so two per-link
+//!   entry-age thresholds decide whether it is within detector range
+//!   of either end. The queue part of every reading is kept by the
+//!   joins and pops that change it: per-link in-range queued counts by
+//!   movement and per-lane and per-link head join ticks. Sensing never
+//!   walks a queue or replays a position.
+//! * **Only yellow signals tick.** A green signal's `tick()` changes
+//!   nothing, so the signal stage visits just the signals in yellow.
 //!
 //! Lane discharge bookkeeping runs over flat lane indices (link-major,
 //! matching the legacy scan order) with a word-level bitset of active
@@ -30,11 +41,15 @@
 //! out until the next tick — exactly when the legacy stepper, which had
 //! already passed it, would first see it.
 
+use std::collections::VecDeque;
+
+use crate::detector::LinkObs;
 use crate::error::SimError;
 use crate::events::EventQueue;
-use crate::ids::{LinkId, NodeId};
+use crate::ids::{Direction, LinkId, NodeId, VehicleId};
 use crate::network::{Movement, Network};
-use crate::sim::{forced_all_red_in, head_step_in, Simulation};
+use crate::signal::SignalState;
+use crate::sim::{forced_all_red_in, head_step_in, LinkState, Simulation};
 use crate::vehicle::{Vehicle, VehiclePosition};
 
 /// Sentinel for "no signal controls this link's downstream node".
@@ -42,6 +57,62 @@ const NO_SIGNAL: u32 = u32::MAX;
 
 /// Sentinel for "the current link exits the network".
 const NO_LINK: u32 = u32::MAX;
+
+/// Sentinel for "this lane's queue is empty" in `EventState::head_join`.
+const NO_HEAD: u32 = u32::MAX;
+
+/// Cap on [`range_slots`]: no lane queue comes near this many vehicles,
+/// so a larger detector range reads the same.
+const MAX_RANGE_SLOTS: usize = u32::MAX as usize;
+
+/// Entry-age thresholds of a link of `length` under detector `range`,
+/// replaying the steppers' per-tick `d -= speed` from `length`:
+///
+/// * `k_in`, the least `k` with `iter_sub(length, k) <= range`: a
+///   runner that entered `k` ticks ago is within range of the stop
+///   line exactly when `k >= k_in`;
+/// * `k_out`, the greatest `k` with `length - iter_sub(length, k) <=
+///   range`: a runner is within range of the upstream end exactly when
+///   `k <= k_out`.
+///
+/// Neither loop runs past the tick whose position reaches 0: a runner
+/// there has already joined a queue, whose back is never below 0. So
+/// both run at most about `length / speed` times, which
+/// `Simulation::new` bounds ([`crate::sim::MAX_TRAVERSAL_TICKS`]).
+pub(crate) fn entry_age_thresholds(length: f64, speed: f64, range: f64) -> (u32, u32) {
+    let mut d = length;
+    let mut k_in = 0;
+    while d > range {
+        d -= speed;
+        k_in += 1;
+    }
+    let mut d = length;
+    let mut k_out = 0;
+    loop {
+        let next = d - speed;
+        if next <= 0.0 || length - next > range {
+            break;
+        }
+        d = next;
+        k_out += 1;
+    }
+    (k_in, k_out)
+}
+
+/// Queue positions the detector covers: position `p` (0 at the stop
+/// line) is in range when `(p as f64) * gap <= range`. Starts from the
+/// quotient and settles on that test, which rounding leaves at most a
+/// position or two away.
+pub(crate) fn range_slots(gap: f64, range: f64) -> usize {
+    let mut p = (range / gap).floor().min(MAX_RANGE_SLOTS as f64) as usize;
+    while p > 0 && (p as f64) * gap > range {
+        p -= 1;
+    }
+    while p < MAX_RANGE_SLOTS && ((p + 1) as f64) * gap <= range {
+        p += 1;
+    }
+    p + 1
+}
 
 /// Schedules the first advance wake-up for a link that just received a
 /// running vehicle at its upstream end. Every same-tick entrant sits at
@@ -52,7 +123,7 @@ const NO_LINK: u32 = u32::MAX;
 /// first touch that bound.
 fn schedule_entry_wake(
     ev: &mut EventState,
-    link: &crate::sim::LinkState,
+    link: &LinkState,
     li: usize,
     now: u32,
     speed: f64,
@@ -121,6 +192,29 @@ fn cache_entry(
     Ok(())
 }
 
+/// What the detectors read of one link, kept in one 32-byte record so a
+/// reading touches one place.
+#[derive(Debug, Clone, Copy)]
+struct LinkSense {
+    /// Queued vehicles at positions below `EventState::range_slots`, by
+    /// cached movement index.
+    queued: [u32; 3],
+    /// Earliest join tick over the heads of the link's lanes
+    /// ([`NO_HEAD`] when no lane has a queue).
+    head_join: u32,
+    /// `k_in` of [`entry_age_thresholds`].
+    in_age: u32,
+    /// `k_out` of [`entry_age_thresholds`].
+    out_age: u32,
+    /// Runners on the link, so an empty link's reading skips its state.
+    runners: u32,
+    /// The link's travel direction.
+    direction: Direction,
+    /// Whether the whole link is within detector range of its upstream
+    /// end, so every queued vehicle counts as outgoing.
+    within_range: bool,
+}
+
 /// Scheduling state of one lane (flat index) in the discharge stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneMode {
@@ -187,7 +281,9 @@ pub(crate) struct EventState {
     /// a fixed per-tick add, so the wake tick is computed exactly and
     /// the lane skips every scan in between.
     recharge: Vec<Vec<u32>>,
-    /// Flat-lane layout: first flat index of each link's lanes.
+    /// Flat-lane layout: first flat index of each link's lanes, plus a
+    /// trailing total (link `l`'s lanes are `lane_offset[l]..
+    /// lane_offset[l + 1]`).
     lane_offset: Vec<u32>,
     /// Owning link of each flat lane.
     lane_link: Vec<u32>,
@@ -204,6 +300,13 @@ pub(crate) struct EventState {
     link_signal: Vec<u32>,
     /// Downstream node of each link.
     link_to: Vec<NodeId>,
+    /// Per link: first index into `permit_bits` of its downstream
+    /// signal's phases, plus a trailing total (as `lane_offset`).
+    permit_off: Vec<u32>,
+    /// Per link and phase of its downstream signal: the movements that
+    /// phase lets leave the link (bit `Movement::index()`), so a permit
+    /// check is a table read instead of a hash-set lookup.
+    permit_bits: Vec<u8>,
     /// Length of each link (m).
     link_len: Vec<f64>,
     /// Entry links of the scenario's routes, ascending — the
@@ -213,13 +316,28 @@ pub(crate) struct EventState {
     /// `VehiclePosition::Running` distance reflects (insertion and
     /// discharge write `tick - 1` so the same-tick advance pass applies
     /// exactly one subtraction, as the legacy stepper does).
-    pub(crate) pos_tick: Vec<i64>,
+    pos_tick: Vec<i64>,
     /// Per vehicle: tick it joined its current lane queue (waits are
     /// settled from this when it leaves the queue).
-    pub(crate) join_tick: Vec<u32>,
+    join_tick: Vec<u32>,
     /// Per vehicle: cached `Movement::index()` it queues for (exits
     /// count as through, mirroring the detector's attribution).
-    pub(crate) queued_move: Vec<u8>,
+    queued_move: Vec<u8>,
+    /// Per vehicle: tick it entered its current link. At observation
+    /// time `t` a runner sits at `length` less `t - entry_tick`
+    /// iterated subtractions of `free_speed`.
+    entry_tick: Vec<u32>,
+    /// Per link: what its detectors read.
+    sense: Vec<LinkSense>,
+    /// Queue positions within detector range ([`range_slots`]).
+    range_slots: usize,
+    /// Per flat lane: join tick of the queue head ([`NO_HEAD`] when
+    /// the queue is empty).
+    head_join: Vec<u32>,
+    /// Signals in their yellow interval, the only ones whose `tick()`
+    /// changes anything. `Simulation::request_phase` sets a bit; the
+    /// signal stage clears it when the yellow resolves.
+    yellow: BitSet,
     /// Per vehicle: lane-permit bitmask on its current link (bit `l`
     /// set = lane `l` accepts its cached movement; all ones for
     /// exiting vehicles, which any lane serves). Movement and next
@@ -239,8 +357,6 @@ pub(crate) struct EventState {
     /// Signals whose heads changed this tick (dedup flag + list).
     sig_dirty: Vec<bool>,
     dirty: Vec<u32>,
-    /// Flat lanes approaching each signal, for `sig_min` recomputation.
-    sig_lanes: Vec<Vec<u32>>,
 }
 
 impl EventState {
@@ -254,23 +370,43 @@ impl EventState {
         let mut link_to = Vec::with_capacity(links.len());
         let mut link_len = Vec::with_capacity(links.len());
         let mut link_signal = Vec::with_capacity(links.len());
+        let mut sense = Vec::with_capacity(links.len());
+        let mut permit_off = Vec::with_capacity(links.len());
+        let mut permit_bits = Vec::new();
+        let config = &sim.config;
+        let range = config.detector.range;
         for l in links {
             lane_offset.push(lane_link.len() as u32);
             lane_link.extend(std::iter::repeat_n(l.id().index() as u32, l.num_lanes()));
             link_to.push(l.to());
             link_len.push(l.length());
             link_signal.push(sim.signal_slot(l.to()).map_or(NO_SIGNAL, |i| i as u32));
-        }
-        let num_lanes = lane_link.len();
-        let mut sig_lanes = vec![Vec::new(); sim.signals.len()];
-        for (si, s) in sim.signals.iter().enumerate() {
-            for &l in network.incoming(s.node()) {
-                let li = l.index();
-                for k in 0..links[li].num_lanes() {
-                    sig_lanes[si].push(lane_offset[li] + k as u32);
+            permit_off.push(permit_bits.len() as u32);
+            if let Some(si) = sim.signal_slot(l.to()) {
+                for phase in sim.signals[si].plan().phases() {
+                    let mut bits = 0u8;
+                    for m in Movement::ALL {
+                        if phase.permits(l.id(), m) {
+                            bits |= 1 << m.index();
+                        }
+                    }
+                    permit_bits.push(bits);
                 }
             }
+            let (in_age, out_age) = entry_age_thresholds(l.length(), config.free_speed, range);
+            sense.push(LinkSense {
+                queued: [0; 3],
+                head_join: NO_HEAD,
+                in_age,
+                out_age,
+                runners: 0,
+                direction: l.direction(),
+                within_range: l.length() <= range,
+            });
         }
+        let num_lanes = lane_link.len();
+        lane_offset.push(num_lanes as u32);
+        permit_off.push(permit_bits.len() as u32);
         let mut origin_links: Vec<LinkId> = sim
             .routes
             .iter()
@@ -305,11 +441,18 @@ impl EventState {
             stalled_down: vec![Vec::new(); links.len()],
             link_signal,
             link_to,
+            permit_off,
+            permit_bits,
             link_len,
             origin_links,
             pos_tick: Vec::new(),
             join_tick: Vec::new(),
             queued_move: Vec::new(),
+            entry_tick: Vec::new(),
+            sense,
+            range_slots: range_slots(config.vehicle_gap, range),
+            head_join: vec![NO_HEAD; num_lanes],
+            yellow: BitSet::new(sim.signals.len()),
             lane_mask: Vec::new(),
             next_link: Vec::new(),
             sig_min: vec![u64::MAX; sim.signals.len()],
@@ -317,7 +460,6 @@ impl EventState {
             wait_j: 0,
             sig_dirty: vec![false; sim.signals.len()],
             dirty: Vec::new(),
-            sig_lanes,
         }
     }
 
@@ -326,34 +468,9 @@ impl EventState {
         self.pos_tick.push(0);
         self.join_tick.push(0);
         self.queued_move.push(Movement::Through.index() as u8);
+        self.entry_tick.push(0);
         self.lane_mask.push(0);
         self.next_link.push(NO_LINK);
-    }
-
-    /// Wakes the lanes parked on signal `si` that the predicate admits
-    /// (called when that signal changes what it permits: yellow
-    /// resolving to green in `tick()`, or an immediate zero-yellow
-    /// phase switch), leaving the rest parked with their list entries
-    /// retained. Stale entries are dropped either way.
-    fn unstall_signal_if(&mut self, si: usize, mut permitted: impl FnMut(&Self, usize) -> bool) {
-        if self.stalled_signal[si].is_empty() {
-            return;
-        }
-        let mut list = std::mem::take(&mut self.stalled_signal[si]);
-        list.retain(|&fu| {
-            let f = fu as usize;
-            if self.lane_mode[f] != LaneMode::StalledSignal {
-                return false;
-            }
-            if permitted(self, f) {
-                self.lane_mode[f] = LaneMode::Active;
-                self.active.set(f);
-                false
-            } else {
-                true
-            }
-        });
-        self.stalled_signal[si] = list;
     }
 
     /// Wakes every lane parked on downstream link `li` (called when a
@@ -379,6 +496,152 @@ impl EventState {
             self.sig_dirty[sig as usize] = true;
             self.dirty.push(sig);
         }
+    }
+
+    /// [`SignalState::permits`] for link `li`, whose downstream signal
+    /// is `signal`, read from the permit table: nothing leaves during
+    /// yellow, and a green phase lets out the movements its entry holds.
+    fn permits(&self, signal: &SignalState, li: usize, movement: Movement) -> bool {
+        let at = self.permit_off[li] as usize + signal.phase();
+        !signal.in_yellow()
+            && at < self.permit_off[li + 1] as usize
+            && self.permit_bits[at] & (1 << movement.index()) != 0
+    }
+
+    /// Flags signal `si` as in yellow, so the signal stage ticks it.
+    pub(crate) fn mark_yellow(&mut self, si: usize) {
+        self.yellow.set(si);
+    }
+
+    /// Detector bookkeeping for vehicle `vi` joining flat lane `f` of
+    /// link `li` behind `ahead` queued vehicles at tick `now`.
+    fn queue_joined(&mut self, li: usize, f: usize, vi: usize, ahead: usize, now: u32) {
+        let sense = &mut self.sense[li];
+        if ahead < self.range_slots {
+            sense.queued[usize::from(self.queued_move[vi])] += 1;
+        }
+        if ahead == 0 {
+            self.head_join[f] = now;
+            // Every standing head joined at or before `now`.
+            sense.head_join = sense.head_join.min(now);
+        }
+    }
+
+    /// Detector bookkeeping for flat lane `f` of link `li` losing its
+    /// head `hv` (before `hv`'s caches move to its next link); `rest` is
+    /// the queue after the pop.
+    fn queue_popped(&mut self, li: usize, f: usize, hv: usize, rest: &VecDeque<VehicleId>) {
+        let sense = &mut self.sense[li];
+        sense.queued[usize::from(self.queued_move[hv])] -= 1;
+        if let Some(v) = rest.get(self.range_slots - 1) {
+            // Everyone moved up one position: the vehicle now at the
+            // last covered one came into range.
+            sense.queued[usize::from(self.queued_move[v.index()])] += 1;
+        }
+        self.head_join[f] = rest.front().map_or(NO_HEAD, |v| self.join_tick[v.index()]);
+        let lanes = self.lane_offset[li] as usize..self.lane_offset[li + 1] as usize;
+        sense.head_join = self.head_join[lanes]
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(NO_HEAD);
+    }
+
+    /// The raw reading of `link` as an incoming link at observation time
+    /// `now`, from the counters and, when it has runners, the entry ticks
+    /// of those nearest the stop line. Every field is an integer, so it
+    /// equals the legacy scan's `+= 1.0` sums bit for bit.
+    pub(crate) fn sense_incoming(&self, link: LinkId, links: &[LinkState], now: u32) -> LinkObs {
+        let sense = &self.sense[link.index()];
+        let halting: u32 = sense.queued.iter().sum();
+        // Oldest runners come first and sit nearest the stop line.
+        let near = if sense.runners == 0 {
+            0
+        } else {
+            links[link.index()]
+                .running
+                .iter()
+                .take_while(|v| now.saturating_sub(self.entry_tick[v.index()]) >= sense.in_age)
+                .count()
+        };
+        LinkObs {
+            link,
+            direction: sense.direction,
+            count: (halting as usize + near) as f64,
+            halting: f64::from(halting),
+            halting_by_movement: sense.queued.map(f64::from),
+            // The longest head wait is the earliest head's; with no
+            // queue, `NO_HEAD` saturates to 0.
+            head_wait: f64::from(now.saturating_sub(sense.head_join)),
+        }
+    }
+
+    /// The raw count within detector range of link `li`'s upstream end
+    /// at observation time `now`: its newest runners (a suffix of the
+    /// entry-ordered `running`), plus every queued vehicle when the whole
+    /// link is in range.
+    pub(crate) fn sense_outgoing(&self, li: usize, links: &[LinkState], now: u32) -> f64 {
+        let sense = &self.sense[li];
+        if sense.runners == 0 && !sense.within_range {
+            return 0.0;
+        }
+        let state = &links[li];
+        let near = state
+            .running
+            .iter()
+            .rev()
+            .take_while(|v| now.saturating_sub(self.entry_tick[v.index()]) <= sense.out_age)
+            .count();
+        let queued = if sense.within_range {
+            state.count - state.running.len()
+        } else {
+            0
+        };
+        (near + queued) as f64
+    }
+
+    /// Wakes the lanes parked on signal `si` whose head movement its
+    /// now-active phase permits (called when that signal changes what it
+    /// permits: yellow resolving to green in `tick()`, or an immediate
+    /// zero-yellow phase switch), leaving the rest parked with their list
+    /// entries retained; stale entries are dropped. Sound because a
+    /// parked lane's head cannot change (heads leave only through a
+    /// discharge pop, and parked lanes are never scanned), so its cached
+    /// movement — and hence the permit verdict the scan would reach — is
+    /// fixed while parked.
+    pub(crate) fn unstall_permitted(
+        &mut self,
+        si: usize,
+        links: &[LinkState],
+        signal: &SignalState,
+    ) {
+        if self.stalled_signal[si].is_empty() {
+            return;
+        }
+        let mut list = std::mem::take(&mut self.stalled_signal[si]);
+        list.retain(|&fu| {
+            let f = fu as usize;
+            if self.lane_mode[f] != LaneMode::StalledSignal {
+                return false;
+            }
+            let li = self.lane_link[f] as usize;
+            let lane_idx = f - self.lane_offset[li] as usize;
+            let permitted = match links[li].lanes[lane_idx].vehicles.front() {
+                Some(&head) => {
+                    let movement = Movement::ALL[self.queued_move[head.index()] as usize];
+                    self.permits(signal, li, movement)
+                }
+                // A headless lane has no business being parked on a
+                // signal; wake it so the scan can reclassify it.
+                None => true,
+            };
+            if permitted {
+                self.lane_mode[f] = LaneMode::Active;
+                self.active.set(f);
+            }
+            !permitted
+        });
+        self.stalled_signal[si] = list;
     }
 }
 
@@ -453,8 +716,10 @@ impl Simulation {
                 let vi = id.index();
                 self.vehicles[vi].mark_inserted(now, length);
                 ev.pos_tick[vi] = i64::from(now) - 1;
+                ev.entry_tick[vi] = now;
                 cache_entry(ev, &self.scenario.network, &self.vehicles[vi], vi, li)?;
                 self.links[li].running.push(id);
+                ev.sense[li].runners += 1;
                 self.links[li].count += 1;
                 self.backlog_len -= 1;
                 self.active += 1;
@@ -514,7 +779,6 @@ impl Simulation {
                 let f = (w << 6) | b as usize;
                 let link_idx = ev.lane_link[f] as usize;
                 let lane_idx = f - ev.lane_offset[link_idx] as usize;
-                let link_id = LinkId(link_idx);
                 let sig = ev.link_signal[link_idx];
                 // Materialize the per-tick capped budget adds the legacy
                 // stepper performed while this lane sat unscanned.
@@ -558,6 +822,7 @@ impl Simulation {
                         let lane = &mut self.links[link_idx].lanes[lane_idx];
                         lane.vehicles.pop_front();
                         lane.budget -= 1.0;
+                        ev.queue_popped(link_idx, f, hv, &lane.vehicles);
                         self.links[link_idx].count -= 1;
                         self.active -= 1;
                         let settled = now.saturating_sub(ev.join_tick[hv]);
@@ -575,7 +840,7 @@ impl Simulation {
                         // so this is the true movement.
                         let movement = Movement::ALL[ev.queued_move[hv] as usize];
                         if sig != NO_SIGNAL {
-                            if !self.signals[sig as usize].permits(link_id, movement) {
+                            if !ev.permits(&self.signals[sig as usize], link_idx, movement) {
                                 break LaneMode::StalledSignal;
                             }
                             if forced_all_red_in(&self.chaos, now, ev.link_to[link_idx]) {
@@ -592,6 +857,7 @@ impl Simulation {
                         let lane = &mut self.links[link_idx].lanes[lane_idx];
                         lane.vehicles.pop_front();
                         lane.budget -= 1.0;
+                        ev.queue_popped(link_idx, f, hv, &lane.vehicles);
                         self.links[link_idx].count -= 1;
                         let settled = now.saturating_sub(ev.join_tick[hv]);
                         let length = ev.link_len[ni];
@@ -602,8 +868,10 @@ impl Simulation {
                         v.advance_route();
                         v.set_running(length);
                         ev.pos_tick[hv] = i64::from(now) - 1;
+                        ev.entry_tick[hv] = now;
                         cache_entry(ev, &self.scenario.network, &self.vehicles[hv], hv, ni)?;
                         self.links[ni].running.push(head);
+                        ev.sense[ni].runners += 1;
                         self.links[ni].count += 1;
                         schedule_entry_wake(ev, &self.links[ni], ni, now, speed, gap);
                         ev.mark_dirty(sig);
@@ -738,11 +1006,12 @@ impl Simulation {
                         self.links[li].lanes[lane_idx].vehicles.push_back(id);
                         self.vehicles[vi].set_queued(lane_idx);
                         ev.join_tick[vi] = now;
+                        let f = ev.lane_offset[li] as usize + lane_idx;
+                        ev.queue_joined(li, f, vi, qlen, now);
                         joined = true;
                         max_qb = max_qb.max((qlen + 1) as f64 * gap);
                         if qlen == 0 {
                             // New head on a previously empty (idle) lane.
-                            let f = ev.lane_offset[li] as usize + lane_idx;
                             ev.lane_mode[f] = LaneMode::Active;
                             ev.active.set(f);
                             let sig = ev.link_signal[li];
@@ -782,6 +1051,7 @@ impl Simulation {
                     }
                     running.copy_within(cut..len, w);
                     running.truncate(w + len - cut);
+                    ev.sense[li].runners = running.len() as u32;
                 }
                 self.links[li].running = running;
                 if !self.links[li].running.is_empty() {
@@ -802,50 +1072,32 @@ impl Simulation {
         Ok(())
     }
 
-    /// Stage 6: ticks the signal machines, waking lanes parked on any
-    /// signal whose yellow resolved to green.
+    /// Stage 6: ticks the signals in yellow, in ascending index order,
+    /// waking lanes parked on any whose yellow resolved to green. A
+    /// green signal's `tick()` changes nothing, so the rest are skipped.
     fn tick_signals_event(&mut self) {
-        for i in 0..self.signals.len() {
-            let was_yellow = self.signals[i].in_yellow();
-            self.signals[i].tick();
-            if was_yellow && !self.signals[i].in_yellow() {
-                self.unstall_signal_permitted(i);
+        let ev = self.ev.as_deref_mut().expect("event core state");
+        for w in 0..ev.yellow.words.len() {
+            let mut bits = ev.yellow.words[w];
+            while bits != 0 {
+                let si = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let signal = &mut self.signals[si];
+                signal.tick();
+                if !signal.in_yellow() {
+                    ev.yellow.clear(si);
+                    ev.unstall_permitted(si, &self.links, &self.signals[si]);
+                }
             }
         }
-    }
-
-    /// Wakes the lanes parked on signal `si` whose head movement the
-    /// now-active phase actually permits; the rest stay parked until a
-    /// later phase change. Sound because a parked lane's head cannot
-    /// change (heads leave only through a discharge pop, and parked
-    /// lanes are never scanned), so its cached movement — and hence the
-    /// permit verdict the scan would reach — is fixed while parked.
-    pub(crate) fn unstall_signal_permitted(&mut self, si: usize) {
-        let links = &self.links;
-        let signals = &self.signals;
-        let Some(ev) = &mut self.ev else {
-            return;
-        };
-        ev.unstall_signal_if(si, |ev, f| {
-            let li = ev.lane_link[f] as usize;
-            let lane_idx = f - ev.lane_offset[li] as usize;
-            match links[li].lanes[lane_idx].vehicles.front() {
-                Some(&head) => {
-                    let movement = Movement::ALL[ev.queued_move[head.index()] as usize];
-                    signals[si].permits(LinkId(li), movement)
-                }
-                // A headless lane has no business being parked on a
-                // signal; wake it so the scan can reclassify it.
-                None => true,
-            }
-        });
     }
 
     /// Stage 7: the mean-of-max-waits sample, in closed form.
     ///
     /// Every head wait is the integer `time + 1 - join_tick`, so the
     /// per-signal max is determined by the minimum join tick over its
-    /// approach-lane heads and the mean is
+    /// approach-lane heads (kept per link in the detector records) and
+    /// the mean is
     /// `(m * (t + 1) - sum_of_mins) / num_signals` with `m` the number
     /// of signals that have any head. All intermediate sums are exact
     /// integers far below 2^53, so the result is bit-identical to the
@@ -855,18 +1107,21 @@ impl Simulation {
             return 0.0;
         }
         let ev = self.ev.as_mut().expect("event core state");
+        let network = &self.scenario.network;
         let dirty = std::mem::take(&mut ev.dirty);
         for &siu in &dirty {
             let si = siu as usize;
-            let mut new_min = u64::MAX;
-            for &f in &ev.sig_lanes[si] {
-                let f = f as usize;
-                let li = ev.lane_link[f] as usize;
-                let lane = f - ev.lane_offset[li] as usize;
-                if let Some(&head) = self.links[li].lanes[lane].vehicles.front() {
-                    new_min = new_min.min(u64::from(ev.join_tick[head.index()]));
-                }
-            }
+            let min_join = network
+                .incoming(self.signals[si].node())
+                .iter()
+                .map(|l| ev.sense[l.index()].head_join)
+                .min()
+                .unwrap_or(NO_HEAD);
+            let new_min = if min_join == NO_HEAD {
+                u64::MAX
+            } else {
+                u64::from(min_join)
+            };
             let old = ev.sig_min[si];
             if old != u64::MAX {
                 ev.wait_m -= 1;
@@ -884,5 +1139,92 @@ impl Simulation {
         ev.dirty = dirty;
         let num = ev.wait_m * (u64::from(self.time) + 1) - ev.wait_j;
         num as f64 / self.signals.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `length` less `k` subtractions of `speed`, one per tick, as both
+    /// steppers move a runner.
+    fn iter_sub(length: f64, speed: f64, k: u32) -> f64 {
+        let mut d = length;
+        for _ in 0..k {
+            d -= speed;
+        }
+        d
+    }
+
+    /// Link lengths where the thresholds step: below the range, the
+    /// range and one ULP either side of it, and the range plus a few
+    /// ticks of travel with their neighbouring ULPs.
+    fn edge_lengths(range: f64, speed: f64) -> Vec<f64> {
+        let mut lengths = vec![0.6 * range, 200.0];
+        for k in 0..5 {
+            let l = range + f64::from(k) * speed;
+            lengths.extend([
+                l,
+                f64::from_bits(l.to_bits() - 1),
+                f64::from_bits(l.to_bits() + 1),
+            ]);
+        }
+        lengths
+    }
+
+    #[test]
+    fn entry_age_thresholds_match_their_iterated_definitions() {
+        for (speed, range) in [(13.89, 50.0), (10.0, 50.0), (0.7, 3.0)] {
+            for length in edge_lengths(range, speed) {
+                // Ticks on the link while the runner is still running.
+                let running: Vec<u32> = (0..)
+                    .take_while(|&k| iter_sub(length, speed, k) > 0.0)
+                    .collect();
+                let k_in = (0..)
+                    .find(|&k| iter_sub(length, speed, k) <= range)
+                    .unwrap();
+                let k_out = *running
+                    .iter()
+                    .filter(|&&k| length - iter_sub(length, speed, k) <= range)
+                    .max()
+                    .unwrap();
+                assert_eq!(
+                    entry_age_thresholds(length, speed, range),
+                    (k_in, k_out),
+                    "length {length:?}, speed {speed}, range {range}"
+                );
+            }
+        }
+        // The default 200 m link: in range of the stop line after 11
+        // ticks, of the upstream end for its first 3.
+        assert_eq!(entry_age_thresholds(200.0, 13.89, 50.0), (11, 3));
+        // A link within range is sensed whole from either end.
+        assert_eq!(entry_age_thresholds(30.0, 13.89, 50.0), (0, 2));
+    }
+
+    #[test]
+    fn range_slots_match_the_literal_queue_test() {
+        for (gap, range) in [
+            (7.5, 50.0),
+            (7.5, 52.5),
+            (7.5, f64::from_bits(52.5f64.to_bits() - 1)),
+            (7.5, 7.5),
+            (10.0, 5.0),
+            (0.1, 0.3),
+            (0.1, 0.7),
+            (3.0, 1e4),
+        ] {
+            let literal = (0usize..)
+                .take_while(|&p| (p as f64) * gap <= range)
+                .count();
+            assert_eq!(
+                range_slots(gap, range),
+                literal,
+                "gap {gap}, range {range:?}"
+            );
+        }
+        assert_eq!(range_slots(7.5, 50.0), 7);
+        // A range vastly wider than the gap is capped, not counted out.
+        assert_eq!(range_slots(f64::MIN_POSITIVE, 1e300), MAX_RANGE_SLOTS + 1);
     }
 }

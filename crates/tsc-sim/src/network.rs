@@ -403,12 +403,18 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if a node has more than
-    /// [`MAX_APPROACHES`] incoming or outgoing links (an observation
-    /// holds one reading per approach inline), or if two outgoing links
-    /// at one node would claim the same turning movement from one
-    /// incoming link.
+    /// Returns [`SimError::InvalidConfig`] if a link's length is not
+    /// finite, if a node has more than [`MAX_APPROACHES`] incoming or
+    /// outgoing links (an observation holds one reading per approach
+    /// inline), or if two outgoing links at one node would claim the
+    /// same turning movement from one incoming link.
     pub fn build(self) -> Result<Network, SimError> {
+        if let Some(link) = self.links.iter().find(|l| !l.length.is_finite()) {
+            return Err(SimError::InvalidConfig(format!(
+                "{} has non-finite length {}",
+                link.id, link.length
+            )));
+        }
         let mut incoming = vec![Vec::new(); self.nodes.len()];
         let mut outgoing = vec![Vec::new(); self.nodes.len()];
         for link in &self.links {
@@ -634,6 +640,21 @@ mod tests {
             .unwrap();
         let net = b.build().unwrap();
         assert!((net.link(l).length() - 500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_link_lengths_are_rejected() {
+        for (x0, x1) in [(-1e308, 1e308), (f64::NAN, 0.0), (0.0, f64::INFINITY)] {
+            let mut b = NetworkBuilder::new();
+            let a = b.add_node(x0, 0.0, false);
+            let c = b.add_node(x1, 0.0, false);
+            b.add_link(a, c, Direction::East, vec![Lane::all_movements()])
+                .unwrap();
+            assert!(
+                matches!(b.build(), Err(SimError::InvalidConfig(msg)) if msg.contains("non-finite")),
+                "{x0} .. {x1}"
+            );
+        }
     }
 
     #[test]

@@ -152,8 +152,6 @@ pub struct SignalState {
     phase: usize,
     state: LightState,
     yellow_time: u32,
-    /// Seconds the current phase has been held (green only).
-    green_elapsed: u32,
 }
 
 impl SignalState {
@@ -164,7 +162,6 @@ impl SignalState {
             phase: 0,
             state: LightState::Green,
             yellow_time,
-            green_elapsed: 0,
         }
     }
 
@@ -191,11 +188,6 @@ impl SignalState {
         matches!(self.state, LightState::Yellow { .. })
     }
 
-    /// Seconds the current green has been held (0 during yellow).
-    pub fn green_elapsed(&self) -> u32 {
-        self.green_elapsed
-    }
-
     /// Requests phase `phase`. A change inserts `yellow_time` seconds of
     /// all-red/yellow clearance before the new green; requesting the
     /// active phase extends the green.
@@ -209,7 +201,6 @@ impl SignalState {
             LightState::Green if phase != self.phase => {
                 if self.yellow_time == 0 {
                     self.phase = phase;
-                    self.green_elapsed = 0;
                 } else {
                     self.state = LightState::Yellow {
                         next: phase,
@@ -248,22 +239,17 @@ impl SignalState {
         Ok(())
     }
 
-    /// Advances the state machine by one second.
+    /// Advances the state machine by one second. Only a yellow
+    /// interval changes: a green phase holds until the next request.
     pub fn tick(&mut self) {
-        match &mut self.state {
-            LightState::Green => {
-                self.green_elapsed += 1;
-            }
-            LightState::Yellow { next, remaining } => {
-                // Saturating: a zero-remaining yellow (possible only in
-                // a hand-built or deserialized state) resolves to green
-                // instead of underflowing.
-                *remaining = remaining.saturating_sub(1);
-                if *remaining == 0 {
-                    self.phase = *next;
-                    self.state = LightState::Green;
-                    self.green_elapsed = 0;
-                }
+        if let LightState::Yellow { next, remaining } = &mut self.state {
+            // Saturating: a zero-remaining yellow (possible only in a
+            // hand-built or deserialized state) resolves to green
+            // instead of underflowing.
+            *remaining = remaining.saturating_sub(1);
+            if *remaining == 0 {
+                self.phase = *next;
+                self.state = LightState::Green;
             }
         }
     }
@@ -351,11 +337,13 @@ mod tests {
     fn requesting_active_phase_keeps_green() {
         let (net, c) = cross();
         let plan = SignalPlan::four_phase(&net, c).unwrap();
+        let sample = plan.phases()[0].permitted().next().unwrap();
         let mut st = SignalState::new(plan, 2);
         st.tick();
         st.request_phase(0).unwrap();
         assert!(!st.in_yellow());
-        assert_eq!(st.green_elapsed(), 1);
+        assert_eq!(st.phase(), 0);
+        assert!(st.permits(sample.0, sample.1), "the green holds");
     }
 
     #[test]

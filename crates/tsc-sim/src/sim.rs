@@ -41,7 +41,9 @@ use crate::network::Movement;
 use crate::routing::shortest_route;
 use crate::scenario::Scenario;
 use crate::signal::SignalState;
-use crate::vehicle::{Vehicle, VehiclePosition};
+use crate::vehicle::Vehicle;
+#[cfg(feature = "legacy-oracle")]
+use crate::vehicle::VehiclePosition;
 
 /// Physical and sensing parameters of the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -79,26 +81,43 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when a parameter is
-    /// non-positive where it must be positive.
+    /// Returns [`SimError::InvalidConfig`] when `free_speed`,
+    /// `vehicle_gap`, `saturation_headway` or `detector.range` is not
+    /// finite and positive, or `detector.noise` or `detector.dropout` is
+    /// not finite and non-negative.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.free_speed <= 0.0 {
-            return Err(SimError::InvalidConfig("free_speed must be > 0".into()));
+        for (name, value) in [
+            ("free_speed", self.free_speed),
+            ("vehicle_gap", self.vehicle_gap),
+            ("saturation_headway", self.saturation_headway),
+            ("detector range", self.detector.range),
+        ] {
+            if !value.is_finite() || value <= 0.0 {
+                return Err(SimError::InvalidConfig(format!(
+                    "{name} must be finite and > 0, got {value}"
+                )));
+            }
         }
-        if self.vehicle_gap <= 0.0 {
-            return Err(SimError::InvalidConfig("vehicle_gap must be > 0".into()));
-        }
-        if self.saturation_headway <= 0.0 {
-            return Err(SimError::InvalidConfig(
-                "saturation_headway must be > 0".into(),
-            ));
-        }
-        if self.detector.range <= 0.0 {
-            return Err(SimError::InvalidConfig("detector range must be > 0".into()));
+        for (name, value) in [
+            ("detector noise", self.detector.noise),
+            ("detector dropout", self.detector.dropout),
+        ] {
+            if !value.is_finite() || value < 0.0 {
+                return Err(SimError::InvalidConfig(format!(
+                    "{name} must be finite and >= 0, got {value}"
+                )));
+            }
         }
         Ok(())
     }
 }
+
+/// Longest free-flow traversal of one link, in ticks (`length /
+/// free_speed`), that [`Simulation::new`] accepts: about 12 days of
+/// simulated time. It bounds every per-link set-up loop, and it keeps
+/// `free_speed` far above the spacing of floats at any link length, so
+/// each per-tick subtraction moves a runner.
+pub const MAX_TRAVERSAL_TICKS: u32 = 1 << 20;
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneQueue {
@@ -174,7 +193,9 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::NoRoute`] for unreachable OD pairs and
-    /// [`SimError::InvalidConfig`] for invalid parameters.
+    /// [`SimError::InvalidConfig`] for invalid parameters (see
+    /// [`SimConfig::validate`]) or a link whose free-flow traversal is
+    /// longer than [`MAX_TRAVERSAL_TICKS`].
     pub fn new(scenario: &Scenario, config: SimConfig, seed: u64) -> Result<Self, SimError> {
         Self::build(scenario, config, seed, true)
     }
@@ -201,6 +222,18 @@ impl Simulation {
         event: bool,
     ) -> Result<Self, SimError> {
         config.validate()?;
+        for l in scenario.network.links() {
+            let ticks = l.length() / config.free_speed;
+            if !l.length().is_finite() || ticks > f64::from(MAX_TRAVERSAL_TICKS) {
+                return Err(SimError::InvalidConfig(format!(
+                    "{} is {} m long: {ticks} ticks at free_speed {} exceed the \
+                     {MAX_TRAVERSAL_TICKS}-tick traversal bound",
+                    l.id(),
+                    l.length(),
+                    config.free_speed
+                )));
+            }
+        }
         let mut routes = Vec::with_capacity(scenario.flows.len());
         for flow in &scenario.flows {
             routes.push(shortest_route(
@@ -220,7 +253,7 @@ impl Simulation {
                     running: Vec::new(),
                     lanes: vec![LaneQueue::default(); l.num_lanes()],
                     count: 0,
-                    capacity: per_lane * l.num_lanes(),
+                    capacity: per_lane.saturating_mul(l.num_lanes()),
                 }
             })
             .collect();
@@ -375,14 +408,20 @@ impl Simulation {
         if self.command_dropped(node) {
             return self.signals[i].validate_phase(phase);
         }
-        // With zero yellow time a green-to-green phase change takes
-        // effect immediately (outside `tick()`), so lanes the event core
-        // parked waiting for a signal change must be woken here.
-        let watch = self.ev.is_some() && !self.signals[i].in_yellow();
+        let was_yellow = self.signals[i].in_yellow();
         let before = self.signals[i].phase();
         self.signals[i].request_phase(phase)?;
-        if watch && !self.signals[i].in_yellow() && self.signals[i].phase() != before {
-            self.unstall_signal_permitted(i);
+        if let Some(ev) = self.ev.as_deref_mut() {
+            if self.signals[i].in_yellow() {
+                // The event core ticks only signals in yellow.
+                ev.mark_yellow(i);
+            } else if !was_yellow && self.signals[i].phase() != before {
+                // With zero yellow time a green-to-green phase change
+                // takes effect immediately (outside `tick()`), so lanes
+                // the event core parked waiting for a signal change must
+                // be woken here.
+                ev.unstall_permitted(i, &self.links, &self.signals[i]);
+            }
         }
         Ok(())
     }
@@ -410,6 +449,7 @@ impl Simulation {
 
     /// Whether an active all-red window blocks every discharge through
     /// `node` right now.
+    #[cfg(feature = "legacy-oracle")]
     fn forced_all_red(&self, node: NodeId) -> bool {
         forced_all_red_in(&self.chaos, self.time, node)
     }
@@ -535,6 +575,7 @@ impl Simulation {
     /// Returns [`SimError::DisconnectedRoute`] when consecutive route
     /// links are not joined by a legal turn (a malformed hand-built
     /// scenario; router-produced routes are always turn-connected).
+    #[cfg(feature = "legacy-oracle")]
     fn head_step(&self, vehicle: &Vehicle) -> Result<Option<(Movement, LinkId)>, SimError> {
         head_step_in(&self.scenario.network, vehicle)
     }
@@ -696,7 +737,6 @@ impl Simulation {
     ///
     /// Panics if `node` is not part of the network.
     pub fn observe(&self, node: NodeId) -> IntersectionObs {
-        let range = self.config.detector.range;
         let network = &self.scenario.network;
         let mut incoming = Approaches::new();
         for &l in network.incoming(node) {
@@ -708,29 +748,7 @@ impl Simulation {
         let mut outgoing_counts = Approaches::new();
         let mut outgoing_links = Approaches::new();
         for &l in network.outgoing(node) {
-            let state = &self.links[l.index()];
-            let length = network.link(l).length();
-            let mut count = 0.0;
-            // Runners near the upstream end are a suffix of the
-            // entry-ordered `running` vec (see `sense_link`): scan it
-            // from the back and stop at the first one out of range.
-            for &id in state.running.iter().rev() {
-                if let VehiclePosition::Running { distance } = self.vehicles[id.index()].position()
-                {
-                    if length - self.running_distance(id, distance) > range {
-                        break;
-                    }
-                    count += 1.0;
-                }
-            }
-            if length <= range {
-                count += state
-                    .lanes
-                    .iter()
-                    .map(|q| q.vehicles.len() as f64)
-                    .sum::<f64>();
-            }
-            outgoing_counts.push(count);
+            outgoing_counts.push(self.sense_outgoing(l));
             outgoing_links.push(l);
         }
         let (current_phase, num_phases) = match self.signal_slot(node) {
@@ -748,33 +766,68 @@ impl Simulation {
         }
     }
 
-    /// Stop-line distance of running vehicle `id`, materializing the
-    /// event core's lazily-advanced position. `distance` is the stored
-    /// [`VehiclePosition::Running`] value; the event core stores the
-    /// position as of the vehicle's last advance pass and catches up
-    /// with the same per-tick subtraction the legacy stepper performs,
-    /// so both engines read bit-identical positions.
-    #[inline]
-    fn running_distance(&self, id: VehicleId, distance: f64) -> f64 {
-        match &self.ev {
-            Some(ev) => {
-                let behind = i64::from(self.time) - 1 - ev.pos_tick[id.index()];
-                let mut d = distance;
-                for _ in 0..behind.max(0) {
-                    d -= self.config.free_speed;
-                }
-                d
-            }
-            None => distance,
+    /// The raw (fault-free) detector reading for one incoming link. The
+    /// event core reads its counters (DESIGN.md §12); the legacy stepper
+    /// scans the link.
+    fn sense_link(&self, l: LinkId) -> LinkObs {
+        #[cfg(feature = "legacy-oracle")]
+        if self.ev.is_none() {
+            return self.scan_link(l);
         }
+        let ev = self.ev.as_deref().expect("event core state");
+        ev.sense_incoming(l, &self.links, self.time)
     }
 
-    /// The raw (fault-free) detector reading for one incoming link.
-    fn sense_link(&self, l: LinkId) -> LinkObs {
+    /// The raw count of vehicles within detector range of `l`'s
+    /// upstream end, as one of a node's outgoing links: the runners near
+    /// that end, plus every queued vehicle when the whole link is in
+    /// range.
+    fn sense_outgoing(&self, l: LinkId) -> f64 {
+        #[cfg(feature = "legacy-oracle")]
+        if self.ev.is_none() {
+            return self.scan_outgoing(l);
+        }
+        let ev = self.ev.as_deref().expect("event core state");
+        ev.sense_outgoing(l.index(), &self.links, self.time)
+    }
+
+    /// The legacy stepper's outgoing count, scanning the link.
+    #[cfg(feature = "legacy-oracle")]
+    fn scan_outgoing(&self, l: LinkId) -> f64 {
+        let range = self.config.detector.range;
+        let state = &self.links[l.index()];
+        let length = self.scenario.network.link(l).length();
+        let mut count = 0.0;
+        // Runners near the upstream end are a suffix of the
+        // entry-ordered `running` vec (see `scan_link`): scan it from
+        // the back and stop at the first one out of range.
+        for &id in state.running.iter().rev() {
+            if let VehiclePosition::Running { distance } = self.vehicles[id.index()].position() {
+                if length - distance > range {
+                    break;
+                }
+                count += 1.0;
+            }
+        }
+        if length <= range {
+            count += state
+                .lanes
+                .iter()
+                .map(|q| q.vehicles.len() as f64)
+                .sum::<f64>();
+        }
+        count
+    }
+
+    /// The legacy stepper's incoming reading, scanning every queue up to
+    /// the range edge and the runners near the stop line. It is the
+    /// independent implementation the parity harness holds the event
+    /// core's counters against.
+    #[cfg(feature = "legacy-oracle")]
+    fn scan_link(&self, l: LinkId) -> LinkObs {
         let range = self.config.detector.range;
         let gap = self.config.vehicle_gap;
         let state = &self.links[l.index()];
-        let ev = self.ev.as_deref();
         let mut count = 0.0;
         let mut halting = 0.0;
         let mut halting_by_movement = [0.0f64; 3];
@@ -790,41 +843,28 @@ impl Simulation {
                 halting += 1.0;
                 // Attribute the vehicle to the movement it is queued
                 // for (exits — and, defensively, broken routes, which
-                // only the step path reports — count as through). The
-                // event core caches the movement at queue-join time;
-                // the route cannot change while the vehicle queues.
-                let mi = match ev {
-                    Some(ev) => usize::from(ev.queued_move[id.index()]),
-                    None => self
-                        .head_step(&self.vehicles[id.index()])
-                        .ok()
-                        .flatten()
-                        .map(|(m, _)| m)
-                        .unwrap_or(Movement::Through)
-                        .index(),
-                };
+                // only the step path reports — count as through).
+                let mi = self
+                    .head_step(&self.vehicles[id.index()])
+                    .ok()
+                    .flatten()
+                    .map(|(m, _)| m)
+                    .unwrap_or(Movement::Through)
+                    .index();
                 halting_by_movement[mi] += 1.0;
                 if pos_idx == 0 {
-                    // Head wait: seconds since the head joined this
-                    // queue. The legacy stepper accrues it 1 s at a
-                    // time; the event core derives the identical
-                    // integer from the join tick.
-                    let w = match ev {
-                        Some(ev) => f64::from(self.time.saturating_sub(ev.join_tick[id.index()])),
-                        None => self.vehicles[id.index()].current_wait(),
-                    };
-                    head_wait = head_wait.max(w);
+                    // Head wait, accrued 1 s at a time.
+                    head_wait = head_wait.max(self.vehicles[id.index()].current_wait());
                 }
             }
         }
         // `running` is in entry order and every runner on a link shares
         // its length and speed, so stop-line distances are nondecreasing
-        // along the vec (the event core's advance pass relies on the same
-        // order). The in-range runners are therefore a prefix: stop at
-        // the first one beyond the detector edge.
+        // along the vec. The in-range runners are therefore a prefix:
+        // stop at the first one beyond the detector edge.
         for &id in &state.running {
             if let VehiclePosition::Running { distance } = self.vehicles[id.index()].position() {
-                if self.running_distance(id, distance) > range {
+                if distance > range {
                     break;
                 }
                 count += 1.0;
@@ -973,7 +1013,8 @@ impl Simulation {
     /// / insertion / finish times and every field of *finished*
     /// vehicles are always exact; waits and positions of in-flight
     /// vehicles should be read through the observation API
-    /// ([`observe`](Self::observe)), which materializes them.
+    /// ([`observe`](Self::observe)), which derives the detector readings
+    /// exactly from the event core's counters.
     pub fn vehicles(&self) -> impl Iterator<Item = &Vehicle> {
         self.vehicles.iter()
     }
@@ -1191,6 +1232,75 @@ mod tests {
         assert!(west.halting <= 7.0, "halting = {}", west.halting);
         let queued = s.link_queue(LinkId(6));
         assert!(queued > 7, "actual queue exceeds detector range");
+    }
+
+    /// Each value passed `validate` before it checked finiteness, and
+    /// the set-up loops over detector range and gap would never end on
+    /// some of them.
+    #[test]
+    fn non_finite_or_negative_parameters_are_typed_errors() {
+        let scenario = cross_scenario(360.0);
+        let base = SimConfig::default();
+        let detector = |f: fn(&mut DetectorConfig)| {
+            let mut d = base.detector;
+            f(&mut d);
+            SimConfig {
+                detector: d,
+                ..base
+            }
+        };
+        let hostile = [
+            SimConfig {
+                vehicle_gap: f64::NAN,
+                ..base
+            },
+            SimConfig {
+                vehicle_gap: f64::INFINITY,
+                ..base
+            },
+            SimConfig {
+                saturation_headway: f64::NAN,
+                ..base
+            },
+            SimConfig {
+                free_speed: f64::INFINITY,
+                ..base
+            },
+            detector(|d| d.range = f64::NAN),
+            detector(|d| d.range = f64::INFINITY),
+            detector(|d| d.noise = f64::NAN),
+            detector(|d| d.noise = -0.1),
+            detector(|d| d.dropout = f64::INFINITY),
+            detector(|d| d.dropout = -1.0),
+        ];
+        for config in hostile {
+            assert!(
+                matches!(
+                    Simulation::new(&scenario, config, 1),
+                    Err(SimError::InvalidConfig(_))
+                ),
+                "{config:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn links_beyond_the_traversal_bound_are_typed_errors() {
+        // The cross's 200 m links take 2e6 ticks at 1e-4 m/s.
+        let slow = SimConfig {
+            free_speed: 1e-4,
+            ..SimConfig::default()
+        };
+        assert!(matches!(
+            Simulation::new(&cross_scenario(360.0), slow, 1),
+            Err(SimError::InvalidConfig(msg)) if msg.contains("traversal bound")
+        ));
+        // 2e5 ticks are within it.
+        let within = SimConfig {
+            free_speed: 1e-3,
+            ..SimConfig::default()
+        };
+        assert!(Simulation::new(&cross_scenario(360.0), within, 1).is_ok());
     }
 
     #[test]

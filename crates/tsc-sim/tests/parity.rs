@@ -17,7 +17,10 @@
 use proptest::prelude::*;
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{flows, FlowPattern, PatternConfig};
-use tsc_sim::{ChaosPlan, LinkId, LinkSel, NodeSel, Scenario, SimConfig, Simulation, Window};
+use tsc_sim::{
+    ChaosPlan, DetectorConfig, Direction, FlowProfile, Lane, LinkId, LinkSel, NetworkBuilder,
+    NodeSel, OdFlow, Scenario, SignalPlan, SimConfig, Simulation, Window,
+};
 
 const PATTERNS: [FlowPattern; 5] = [
     FlowPattern::One,
@@ -43,7 +46,7 @@ fn grid_scn(cols: usize, rows: usize, pattern: FlowPattern, cfg: &PatternConfig)
 /// that every externally observable stream is identical: full
 /// [`tsc_sim::IntersectionObs`] vectors, reward bits, metrics counters
 /// and averages (bit compare), vehicle counts, and per-link
-/// queue/occupancy.
+/// queue/occupancy. Returns the longest link queue seen.
 fn assert_lockstep(
     scenario: &Scenario,
     config: SimConfig,
@@ -51,13 +54,14 @@ fn assert_lockstep(
     chaos: &ChaosPlan,
     horizon: u32,
     phase_period: u32,
-) {
+) -> usize {
     let mut legacy = Simulation::with_chaos_legacy(scenario, config, seed, chaos.clone()).unwrap();
     let mut event = Simulation::with_chaos(scenario, config, seed, chaos.clone()).unwrap();
     assert!(!legacy.is_event_core());
     assert!(event.is_event_core());
     let agents = scenario.agents();
     let n_links = scenario.network.num_links();
+    let mut longest_queue = 0;
     for t in 0..horizon {
         if t % phase_period == 0 {
             for (i, &node) in agents.iter().enumerate() {
@@ -88,6 +92,7 @@ fn assert_lockstep(
                 event.link_queue(id),
                 "queue length diverged on link {li} at t={t}"
             );
+            longest_queue = longest_queue.max(event.link_queue(id));
             assert_eq!(
                 legacy.link_occupancy(id),
                 event.link_occupancy(id),
@@ -130,6 +135,7 @@ fn assert_lockstep(
             "avg travel time bits diverged at t={t}"
         );
     }
+    longest_queue
 }
 
 /// A plan layering every sensing and actuation fault kind so the
@@ -196,6 +202,116 @@ fn parity_under_heavy_uniform_demand() {
         500,
         13,
     );
+}
+
+/// Five single-lane four-way crosses whose east and west links (in
+/// and out) are cut to the lengths where a detector reading changes:
+/// shorter than the range (sensed whole from the upstream end), the
+/// range and one ULP either side of it, and the range plus one to four
+/// ticks of travel, some one ULP off, where the entry-age thresholds
+/// step. Demand is heavy enough to queue past the last sensed position.
+fn detector_edge_scenario(config: &SimConfig) -> Scenario {
+    let range = config.detector.range;
+    let speed = config.free_speed;
+    let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+    let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let lengths = [
+        0.6 * range,
+        range,
+        down(range),
+        up(range),
+        range + speed,
+        up(range + speed),
+        range + 2.0 * speed,
+        down(range + 2.0 * speed),
+        range + 3.0 * speed,
+        range + 4.0 * speed,
+    ];
+    let mut b = NetworkBuilder::new();
+    let mut centers = Vec::new();
+    let mut edges = Vec::new();
+    let mut flows = Vec::new();
+    let demand = |rate: f64| FlowProfile::constant(rate, 0.0, 600.0);
+    for (i, pair) in lengths.chunks(2).enumerate() {
+        // Each cross on its own row: the east and west links lie along
+        // the x axis from a center at x = 0, so their lengths are exact.
+        let y = 10_000.0 * i as f64;
+        let c = b.add_node(0.0, y, true);
+        let e = b.add_node(pair[0], y, false);
+        let w = b.add_node(-pair[1], y, false);
+        let n = b.add_node(0.0, y + 200.0, false);
+        let s = b.add_node(0.0, y - 200.0, false);
+        for (t, d) in [
+            (n, Direction::South),
+            (e, Direction::West),
+            (s, Direction::North),
+            (w, Direction::East),
+        ] {
+            let lanes = vec![Lane::all_movements()];
+            let inbound = b.add_link(t, c, d, lanes.clone()).unwrap();
+            let outbound = b.add_link(c, t, d.opposite(), lanes).unwrap();
+            if t == e || t == w {
+                let length = if t == e { pair[0] } else { pair[1] };
+                edges.extend([(inbound, length), (outbound, length)]);
+            }
+        }
+        centers.push(c);
+        for (from, to, rate) in [
+            (w, e, 1000.0),
+            (e, w, 800.0),
+            (n, s, 500.0),
+            (s, n, 300.0),
+            (w, n, 200.0),
+            (e, s, 200.0),
+            (s, e, 200.0),
+        ] {
+            flows.push(OdFlow::new(from, to, demand(rate)));
+        }
+    }
+    let network = b.build().unwrap();
+    for (l, length) in edges {
+        assert_eq!(
+            network.link(l).length().to_bits(),
+            length.to_bits(),
+            "{l} must be exactly {length:?} m long"
+        );
+    }
+    let plans = centers
+        .iter()
+        .map(|&c| SignalPlan::four_phase(&network, c).unwrap())
+        .collect();
+    Scenario::new("detector-edges", network, plans, flows).unwrap()
+}
+
+/// Both engines agree reading links cut to the detector's edges, with
+/// queues past the last sensed position, fault-free and through a
+/// stuck-sensor window, under the default detector and one whose range
+/// is a whole number of ticks of travel and gaps.
+#[test]
+fn parity_at_the_detector_edges() {
+    let configs = [
+        SimConfig::default(),
+        SimConfig {
+            free_speed: 10.0,
+            vehicle_gap: 7.5,
+            detector: DetectorConfig::with_range(30.0),
+            ..SimConfig::default()
+        },
+    ];
+    for (i, config) in configs.into_iter().enumerate() {
+        let scenario = detector_edge_scenario(&config);
+        let sensed = (0usize..)
+            .take_while(|&p| (p as f64) * config.vehicle_gap <= config.detector.range)
+            .count();
+        let stuck = ChaosPlan::default().sensor_stuck(Window::new(100, 160), LinkSel::All);
+        for chaos in [ChaosPlan::default(), stuck] {
+            let longest = assert_lockstep(&scenario, config, 31 + i as u64, &chaos, 600, 9);
+            assert!(
+                longest > sensed,
+                "queues must reach past the {sensed} sensed positions (longest {longest})"
+            );
+        }
+    }
 }
 
 /// Regression: the legacy stepper drains the insertion backlog by

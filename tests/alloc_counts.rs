@@ -112,6 +112,38 @@ fn observe_all_allocates_once_per_call() {
     );
 }
 
+/// The seven `Simulation::step`s of every decision step of the same
+/// half hour allocate a pinned total: each spawn's route, and growth of
+/// the per-vehicle arrays, lane queues, runner lists and insertion
+/// backlog as the city fills. Nothing is allocated per tick or per
+/// signal.
+#[test]
+fn sim_steps_allocate_a_pinned_total() {
+    const PIN: u64 = 10_113;
+    let compiled = compile(&city_spec(200, 42)).expect("city-200 compiles");
+    let mut sim = Simulation::new(&compiled.scenario, SimConfig::default(), 42).expect("sim");
+    let agents = sim.signalized();
+    let mut controller = MaxPressureController::default();
+    controller.reset();
+    let mut total = 0;
+    let mut decisions = 0;
+    while sim.time() < 1800 {
+        let obs = sim.observe_all();
+        let actions = controller.decide(&obs);
+        for (i, (&node, &a)) in agents.iter().zip(&actions).enumerate() {
+            let phases = compiled.scenario.signal_plans[i].num_phases();
+            sim.request_phase(node, a % phases).expect("valid phase");
+        }
+        let (result, allocs, _) = count(|| (0..7).try_for_each(|_| sim.step()));
+        result.expect("step");
+        total += allocs;
+        decisions += 1;
+    }
+    assert_eq!(decisions, 258);
+    assert_eq!(sim.metrics().spawned(), 5963);
+    assert_eq!(total, PIN, "allocations in 7 steps x {decisions} decisions");
+}
+
 /// A steady-state `Adam::step` allocates nothing: it reads each
 /// parameter's gradient in place while it writes the value, over an
 /// LSTM cell's weights and bias plus a scalar.
